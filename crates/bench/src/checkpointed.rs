@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 
 use psnt_analysis::report::{fmt_v, Table};
 use psnt_cells::units::{Time, Voltage};
-use psnt_control::{PiBoost, SupplyBoost, ThresholdStretch, ThresholdThrottle};
+use psnt_control::{Mitigator, PiBoost, SupplyBoost, ThresholdStretch, ThresholdThrottle};
 use psnt_core::system::SensorSystem;
 use psnt_ctx::RunCtx;
 use psnt_scan::campaign::{SiteOutcome, StreamRecord};
@@ -100,6 +100,42 @@ fn meta_err(path: &Path, reason: impl std::fmt::Display) -> WorkloadError {
     }
 }
 
+/// The report of a run a cooperative interrupt stopped: `head` (why),
+/// then where its checkpoint (and, with `sidecar`, the `.meta` sidecar)
+/// is and how to resume it from `repro --<experiment>`.
+fn interrupted(
+    mut head: String,
+    opts: &CheckpointOptions,
+    experiment: &str,
+    cycles: usize,
+    cycle_of: impl Fn(&Path) -> Option<usize>,
+    sidecar: bool,
+) -> CheckpointedRun {
+    match opts.checkpoint.as_deref() {
+        Some(path) if path.exists() => {
+            head.push_str(&format!(
+                "checkpoint: {} (cycle {} of {cycles}){}\n",
+                path.display(),
+                cycle_of(path).map_or_else(|| "?".into(), |c| c.to_string()),
+                if sidecar {
+                    format!(" + sidecar {}", meta_path(path).display())
+                } else {
+                    String::new()
+                },
+            ));
+            head.push_str(&format!(
+                "resume with: repro --{experiment} --resume {}\n",
+                path.display()
+            ));
+        }
+        _ => head.push_str("no checkpoint on disk — rerun from the start\n"),
+    }
+    CheckpointedRun {
+        report: head,
+        interrupted: true,
+    }
+}
+
 /// XP-NOC under a checkpoint policy. See
 /// [`figures::noc_campaign`](crate::figures::noc_campaign) for the
 /// experiment itself.
@@ -149,28 +185,14 @@ pub fn noc_campaign_checkpointed(
     let out = match out {
         Ok(out) => out,
         Err(WorkloadError::Interrupted(reason)) => {
-            let mut s = String::from("== XP-NOC — INTERRUPTED ==\n");
-            s.push_str(&format!("{reason}\n"));
-            match opts.checkpoint.as_deref() {
-                Some(path) if path.exists() => {
-                    let cycle = WorkloadCheckpoint::load(path).map(|c| c.cycle()).ok();
-                    s.push_str(&format!(
-                        "checkpoint: {} (cycle {} of {})\n",
-                        path.display(),
-                        cycle.map_or_else(|| "?".into(), |c| c.to_string()),
-                        workload.config().cycles,
-                    ));
-                    s.push_str(&format!(
-                        "resume with: repro --noc-campaign --resume {}\n",
-                        path.display()
-                    ));
-                }
-                _ => s.push_str("no checkpoint on disk — rerun from the start\n"),
-            }
-            return Ok(CheckpointedRun {
-                report: s,
-                interrupted: true,
-            });
+            return Ok(interrupted(
+                format!("== XP-NOC — INTERRUPTED ==\n{reason}\n"),
+                opts,
+                "noc-campaign",
+                workload.config().cycles,
+                |path| WorkloadCheckpoint::load(path).map(|c| c.cycle()).ok(),
+                false,
+            ));
         }
         Err(e) => return Err(e),
     };
@@ -312,65 +334,46 @@ pub fn droop_mitigation_checkpointed(
             _ => None,
         };
         let (_, latency) = droop_run_shape(k);
-        let out = match k {
-            0 => workload.run_mitigated_checkpointed(ctx, None, 0, &ckpt_policy, this_resume),
-            1 => {
-                let mut m = ThresholdStretch::new(tiles, engage, release, 0.25)?.with_hold(hold);
-                workload.run_mitigated_checkpointed(ctx, Some(&mut m), 1, &ckpt_policy, this_resume)
-            }
-            2 => {
-                let mut m = ThresholdThrottle::new(tiles, engage, release)?.with_hold(hold);
-                workload.run_mitigated_checkpointed(ctx, Some(&mut m), 1, &ckpt_policy, this_resume)
-            }
-            4 => {
-                let mut m = PiBoost::new(tiles, release as f64, 0.02, 0.01)?;
-                workload.run_mitigated_checkpointed(ctx, Some(&mut m), 1, &ckpt_policy, this_resume)
-            }
-            _ => {
-                let mut m = SupplyBoost::new(tiles, engage, release, Voltage::from_v(0.06))?
-                    .with_hold(hold);
-                workload.run_mitigated_checkpointed(
-                    ctx,
-                    Some(&mut m),
-                    latency,
-                    &ckpt_policy,
-                    this_resume,
-                )
-            }
+        let mut mitigator: Option<Box<dyn Mitigator>> = match k {
+            0 => None,
+            1 => Some(Box::new(
+                ThresholdStretch::new(tiles, engage, release, 0.25)?.with_hold(hold),
+            )),
+            2 => Some(Box::new(
+                ThresholdThrottle::new(tiles, engage, release)?.with_hold(hold),
+            )),
+            4 => Some(Box::new(PiBoost::new(tiles, release as f64, 0.02, 0.01)?)),
+            _ => Some(Box::new(
+                SupplyBoost::new(tiles, engage, release, Voltage::from_v(0.06))?.with_hold(hold),
+            )),
         };
+        let out = workload.run_mitigated_checkpointed(
+            ctx,
+            mitigator.as_deref_mut().map(|m| m as &mut dyn Mitigator),
+            latency,
+            &ckpt_policy,
+            this_resume,
+        );
         match out {
             Ok(r) => results.push(r),
             Err(WorkloadError::Interrupted(reason)) => {
                 let (policy, latency) = droop_run_shape(k);
-                let mut s = String::from("== XP-DROOP — INTERRUPTED ==\n");
-                s.push_str(&format!("{reason}\n"));
-                s.push_str(&format!(
-                    "run {}/{DROOP_RUNS}: policy {policy}, latency {latency} cy\n",
-                    k + 1
-                ));
-                match opts.checkpoint.as_deref() {
-                    Some(path) if path.exists() => {
-                        fs::write(meta_path(path), format!("droop-mitigation {k}\n"))
-                            .map_err(|e| meta_err(&meta_path(path), e))?;
-                        let cycle = MitigatedCheckpoint::load(path).map(|c| c.cycle()).ok();
-                        s.push_str(&format!(
-                            "checkpoint: {} (cycle {} of {}) + sidecar {}\n",
-                            path.display(),
-                            cycle.map_or_else(|| "?".into(), |c| c.to_string()),
-                            cfg.cycles,
-                            meta_path(path).display(),
-                        ));
-                        s.push_str(&format!(
-                            "resume with: repro --droop-mitigation --resume {}\n",
-                            path.display()
-                        ));
-                    }
-                    _ => s.push_str("no checkpoint on disk — rerun from the start\n"),
+                if let Some(path) = opts.checkpoint.as_deref().filter(|p| p.exists()) {
+                    fs::write(meta_path(path), format!("droop-mitigation {k}\n"))
+                        .map_err(|e| meta_err(&meta_path(path), e))?;
                 }
-                return Ok(CheckpointedRun {
-                    report: s,
-                    interrupted: true,
-                });
+                return Ok(interrupted(
+                    format!(
+                        "== XP-DROOP — INTERRUPTED ==\n{reason}\n\
+                         run {}/{DROOP_RUNS}: policy {policy}, latency {latency} cy\n",
+                        k + 1
+                    ),
+                    opts,
+                    "droop-mitigation",
+                    cfg.cycles,
+                    |path| MitigatedCheckpoint::load(path).map(|c| c.cycle()).ok(),
+                    true,
+                ));
             }
             Err(e) => return Err(e),
         }

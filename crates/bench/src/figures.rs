@@ -149,7 +149,7 @@ pub fn registry() -> Vec<Experiment> {
         ),
         (
             "fault-coverage",
-            "1,016-plan fault universe over the gate-level array, 64 plans/word",
+            "1,016-plan fault universe over the gate-level array, ≤ 64 plans/word",
             fault_coverage,
         ),
         (
@@ -850,10 +850,8 @@ pub fn overhead() -> String {
 /// behind. Fully deterministic — same table on every run at any
 /// worker count.
 pub fn fault_coverage(ctx: &mut RunCtx<'_>) -> String {
-    use psnt_cells::logic::Logic;
     use psnt_core::gate_level::GateLevelArray;
-    use psnt_fault::{Fault, FaultPlan};
-    use psnt_netlist::LANES;
+    use psnt_fault::FaultPlan;
 
     let array = GateLevelArray::paper().expect("paper array builds");
     let sk = skew(code011());
@@ -866,6 +864,115 @@ pub fn fault_coverage(ctx: &mut RunCtx<'_>) -> String {
         .iter()
         .map(|&v| array.measure(&mut lctx, v, sk).expect("healthy measure"))
         .collect();
+
+    const CLASSES: [&str; 4] = [
+        "single stuck-at (SA0+SA1, every net)",
+        "double stuck-at (every net pair x 4 values)",
+        "delay scale (every sense inverter x 8 factors)",
+        "stuck-at x delay cross",
+    ];
+    let (class_of, plans) = fault_universe(&array);
+
+    // Sweep the plans packed first-fit into exact words: each word
+    // costs one batched measure per rail, lane `l` carrying plan
+    // `word[l]`.
+    let words = pack_exact_words(&plans);
+    let mut totals = [0u32; 4];
+    let mut detects = [0u32; 4];
+    let mut errors = [0u32; 4];
+    let mut worst = [0usize; 4];
+    let mut batched_measures = 0usize;
+    for word in &words {
+        let chunk: Vec<FaultPlan> = word.iter().map(|&i| plans[i].clone()).collect();
+        let per_rail: Vec<_> = rails
+            .iter()
+            .map(|&v| {
+                batched_measures += 1;
+                array
+                    .measure_batch(&mut lctx, v, sk, &chunk)
+                    .expect("batched faulted measure")
+            })
+            .collect();
+        for (l, &plan) in word.iter().enumerate() {
+            let k = class_of[plan];
+            totals[k] += 1;
+            let mut detected = false;
+            let mut residual = 0usize;
+            for (lane_results, gold) in per_rail.iter().zip(&golden) {
+                match &lane_results[l] {
+                    Ok((sense, _prepare)) => {
+                        if sense != gold {
+                            detected = true;
+                        }
+                        residual = residual.max(
+                            sense
+                                .correct_bubbles()
+                                .level()
+                                .abs_diff(gold.correct_bubbles().level()),
+                        );
+                    }
+                    Err(_) => {
+                        detected = true;
+                        errors[k] += 1;
+                    }
+                }
+            }
+            if detected {
+                detects[k] += 1;
+                worst[k] = worst[k].max(residual);
+            }
+        }
+    }
+
+    let mut t = Table::new(
+        "XP-FAULT — fault coverage, 7-element HIGH-SENSE array (code 011), ≤ 64 plans/word",
+        &[
+            "fault class",
+            "plans",
+            "detected",
+            "coverage",
+            "worst residual",
+        ],
+    );
+    for (k, class) in CLASSES.iter().enumerate() {
+        t.row([
+            (*class).to_string(),
+            totals[k].to_string(),
+            detects[k].to_string(),
+            format!(
+                "{:.1} %",
+                f64::from(detects[k]) / f64::from(totals[k]) * 100.0
+            ),
+            format!("{} level(s)", worst[k]),
+        ]);
+    }
+    let total: u32 = totals.iter().sum();
+    let detected_n: u32 = detects.iter().sum();
+    let worst_residual = worst.iter().copied().max().unwrap_or(0);
+    let mut s = t.render();
+    s.push_str(&format!(
+        "faults injected: {total} | detected: {detected_n} | detection rate: {rate:.1} % | \
+         worst residual among detected: {worst_residual} level(s)\n\
+         (three-rail signature: 1.00 V / 0.96 V / 0.90 V; a fault is silent only if every\n\
+         rail reproduces the golden thermometer code)\n\
+         batch kernel: {} plans swept as {} word-chunks x {} rails = {batched_measures} batched\n\
+         measures, versus {} scalar measures for the same campaign serially\n",
+        plans.len(),
+        words.len(),
+        rails.len(),
+        plans.len() * rails.len(),
+        rate = f64::from(detected_n) / f64::from(total) * 100.0,
+    ));
+    s
+}
+
+/// XP-FAULT's plan universe over `array`, with the class id (an index
+/// into the report's fault classes) of every plan.
+fn fault_universe(
+    array: &psnt_core::gate_level::GateLevelArray,
+) -> (Vec<usize>, Vec<psnt_fault::FaultPlan>) {
+    use psnt_cells::logic::Logic;
+    use psnt_fault::{Fault, FaultPlan};
 
     let names: Vec<String> = array
         .netlist()
@@ -880,14 +987,9 @@ pub fn fault_coverage(ctx: &mut RunCtx<'_>) -> String {
         .collect();
 
     // The fault universe, one class id per plan. Delay factors span
-    // 4× fast to 6× slow; 8 distinct factors per gate keeps the batch
-    // kernel's delay banding exact (no quantisation).
-    const CLASSES: [&str; 4] = [
-        "single stuck-at (SA0+SA1, every net)",
-        "double stuck-at (every net pair x 4 values)",
-        "delay scale (every sense inverter x 8 factors)",
-        "stuck-at x delay cross",
-    ];
+    // 4× fast to 6× slow: 8 distinct factors per gate, plus the unit
+    // factor of every other lane, so the words are packed to keep the
+    // batch kernel's delay banding exact (no quantisation).
     const FACTORS: [f64; 8] = [0.25, 0.5, 0.75, 1.5, 2.0, 3.0, 4.0, 6.0];
     let mut class_of: Vec<usize> = Vec::new();
     let mut plans: Vec<FaultPlan> = Vec::new();
@@ -955,95 +1057,54 @@ pub fn fault_coverage(ctx: &mut RunCtx<'_>) -> String {
             }
         }
     }
+    (class_of, plans)
+}
 
-    // Sweep 64 plans per word: each chunk costs one batched measure per
-    // rail, lane `l` carrying plan `chunk_base + l`.
-    let mut totals = [0u32; 4];
-    let mut detects = [0u32; 4];
-    let mut errors = [0u32; 4];
-    let mut worst = [0usize; 4];
-    let mut batched_measures = 0usize;
-    for (ci, chunk) in plans.chunks(LANES).enumerate() {
-        let per_rail: Vec<_> = rails
-            .iter()
-            .map(|&v| {
-                batched_measures += 1;
-                array
-                    .measure_batch(&mut lctx, v, sk, chunk)
-                    .expect("batched faulted measure")
-            })
-            .collect();
-        for l in 0..chunk.len() {
-            let k = class_of[ci * LANES + l];
-            totals[k] += 1;
-            let mut detected = false;
-            let mut residual = 0usize;
-            for (lane_results, gold) in per_rail.iter().zip(&golden) {
-                match &lane_results[l] {
-                    Ok((sense, _prepare)) => {
-                        if sense != gold {
-                            detected = true;
-                        }
-                        residual = residual.max(
-                            sense
-                                .correct_bubbles()
-                                .level()
-                                .abs_diff(gold.correct_bubbles().level()),
-                        );
-                    }
-                    Err(_) => {
-                        detected = true;
-                        errors[k] += 1;
-                    }
-                }
+/// Packs fault plans, in order, first-fit into batch words of at most
+/// [`LANES`](psnt_netlist::LANES) plans on which the batch kernel's
+/// delay banding is exact. Every gate is taken to carry the unit factor
+/// on some lane, so a word holds at most `MAX_DELAY_BANDS - 1` other
+/// distinct delay factors per gate; more would be snapped to a
+/// geometric grid (see [`GateLevelArray::measure_batch`]). Returns the
+/// plan indices of each word.
+///
+/// [`GateLevelArray::measure_batch`]: psnt_core::gate_level::GateLevelArray::measure_batch
+fn pack_exact_words(plans: &[psnt_fault::FaultPlan]) -> Vec<Vec<usize>> {
+    use psnt_netlist::batch::MAX_DELAY_BANDS;
+    use std::collections::BTreeMap;
+    let mut words: Vec<Vec<usize>> = Vec::new();
+    // Per word, per gate: the non-unit delay factors (as bits) in use.
+    let mut bands: Vec<BTreeMap<&str, Vec<u64>>> = Vec::new();
+    for (ix, plan) in plans.iter().enumerate() {
+        let mut factors: BTreeMap<&str, f64> = BTreeMap::new();
+        for fault in &plan.faults {
+            if let psnt_fault::Fault::DelayScale { gate, factor } = fault {
+                *factors.entry(gate.as_str()).or_insert(1.0) *= factor;
             }
-            if detected {
-                detects[k] += 1;
-                worst[k] = worst[k].max(residual);
+        }
+        factors.retain(|_, f| *f != 1.0);
+        let fits = |w: usize| {
+            words[w].len() < psnt_netlist::LANES
+                && factors.iter().all(|(gate, f)| {
+                    bands[w]
+                        .get(gate)
+                        .is_none_or(|b| b.contains(&f.to_bits()) || b.len() < MAX_DELAY_BANDS - 1)
+                })
+        };
+        let w = (0..words.len()).find(|&w| fits(w)).unwrap_or(words.len());
+        if w == words.len() {
+            words.push(Vec::new());
+            bands.push(BTreeMap::new());
+        }
+        words[w].push(ix);
+        for (gate, f) in factors {
+            let band = bands[w].entry(gate).or_default();
+            if !band.contains(&f.to_bits()) {
+                band.push(f.to_bits());
             }
         }
     }
-
-    let mut t = Table::new(
-        "XP-FAULT — fault coverage, 7-element HIGH-SENSE array (code 011), 64 plans/word",
-        &[
-            "fault class",
-            "plans",
-            "detected",
-            "coverage",
-            "worst residual",
-        ],
-    );
-    for (k, class) in CLASSES.iter().enumerate() {
-        t.row([
-            (*class).to_string(),
-            totals[k].to_string(),
-            detects[k].to_string(),
-            format!(
-                "{:.1} %",
-                f64::from(detects[k]) / f64::from(totals[k]) * 100.0
-            ),
-            format!("{} level(s)", worst[k]),
-        ]);
-    }
-    let total: u32 = totals.iter().sum();
-    let detected_n: u32 = detects.iter().sum();
-    let worst_residual = worst.iter().copied().max().unwrap_or(0);
-    let mut s = t.render();
-    s.push_str(&format!(
-        "faults injected: {total} | detected: {detected_n} | detection rate: {rate:.1} % | \
-         worst residual among detected: {worst_residual} level(s)\n\
-         (three-rail signature: 1.00 V / 0.96 V / 0.90 V; a fault is silent only if every\n\
-         rail reproduces the golden thermometer code)\n\
-         batch kernel: {} plans swept as {} word-chunks x {} rails = {batched_measures} batched\n\
-         measures, versus {} scalar measures for the same campaign serially\n",
-        plans.len(),
-        plans.len().div_ceil(LANES),
-        rails.len(),
-        plans.len() * rails.len(),
-        rate = f64::from(detected_n) / f64::from(total) * 100.0,
-    ));
-    s
+    words
 }
 
 /// XP-NOC — the chip-scale workload campaign: an 8×8-mesh NoC's
@@ -1265,5 +1326,36 @@ mod tests {
         assert!(out.contains("64 plans/word"));
         // The sweep is deterministic, so the rendered table is too.
         assert_eq!(out, fault_coverage(&mut RunCtx::serial()));
+    }
+
+    #[test]
+    fn fault_coverage_batch_detections_match_scalar_measures() {
+        // Every plan measured alone on the scalar kernel: the detection
+        // count the packed batch sweep must reproduce exactly.
+        let array = psnt_core::gate_level::GateLevelArray::paper().unwrap();
+        let sk = skew(code011());
+        let rails = [1.0, 0.96, 0.9].map(Voltage::from_v);
+        let mut ctx = RunCtx::serial();
+        let golden: Vec<_> = rails
+            .iter()
+            .map(|&v| array.measure(&mut ctx, v, sk).unwrap())
+            .collect();
+        let (_, plans) = fault_universe(&array);
+        let mut detected = 0;
+        for plan in plans {
+            ctx.set_fault_plan(Some(plan));
+            if rails.iter().zip(&golden).any(|(&v, gold)| {
+                array
+                    .measure_detailed(&mut ctx, v, sk)
+                    .map_or(true, |(sense, _)| sense != *gold)
+            }) {
+                detected += 1;
+            }
+        }
+        let out = fault_coverage(&mut RunCtx::serial());
+        assert!(
+            out.contains(&format!("| detected: {detected} |")),
+            "scalar sweep detects {detected}:\n{out}"
+        );
     }
 }

@@ -263,22 +263,6 @@ impl GateLevelArray {
         Ok(self.measure_detailed(ctx, rail, skew)?.0)
     }
 
-    /// [`GateLevelArray::measure`] on a caller-held simulator from
-    /// [`GateLevelArray::make_sim`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures.
-    #[deprecated(since = "0.1.0", note = "use `measure` with a `RunCtx`")]
-    pub fn measure_with(
-        &self,
-        sim: &mut Simulator<'_>,
-        rail: Voltage,
-        skew: Time,
-    ) -> Result<ThermometerCode, SensorError> {
-        Ok(self.measure_detailed_on(sim, rail, skew)?.0)
-    }
-
     /// Like [`GateLevelArray::measure`], but also returning the PREPARE
     /// code read just before the SENSE launch (the paper's Fig. 9 shows
     /// it as `0000000`).
@@ -313,21 +297,6 @@ impl GateLevelArray {
             sim.fold_profile_into(&mut obs.metrics);
         }
         result
-    }
-
-    /// [`GateLevelArray::measure_detailed`] on a caller-held simulator.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures.
-    #[deprecated(since = "0.1.0", note = "use `measure_detailed` with a `RunCtx`")]
-    pub fn measure_detailed_with(
-        &self,
-        sim: &mut Simulator<'_>,
-        rail: Voltage,
-        skew: Time,
-    ) -> Result<(ThermometerCode, ThermometerCode), SensorError> {
-        self.measure_detailed_on(sim, rail, skew)
     }
 
     fn measure_detailed_on(
@@ -394,9 +363,20 @@ impl GateLevelArray {
     /// exactly what [`GateLevelArray::measure_detailed`] returns for
     /// that plan alone — `(sense, prepare)` on success, or the same
     /// error a serial faulted measure reports (budget exceeded on an
-    /// oscillating fault). The whole-call `Err` covers batch-level
-    /// failures only: no plans, more than [`LANES`] plans, or a plan
-    /// the batch kernel rejects up front (unknown targets,
+    /// oscillating fault).
+    ///
+    /// Exactness has one limit: the kernel bands each gate's per-lane
+    /// delay factors, and at most
+    /// [`MAX_DELAY_BANDS`](psnt_netlist::batch::MAX_DELAY_BANDS)
+    /// distinct factors per gate — counting the unit factor of every
+    /// lane without a `DelayScale` on it — are exact. A word with more
+    /// snaps them to a geometric grid, and its lanes may then differ
+    /// from the scalar kernel; callers that need exact results pack
+    /// their plans so no gate exceeds the limit.
+    ///
+    /// The whole-call `Err` covers batch-level failures only: no plans,
+    /// more than [`LANES`] plans, or a plan the batch kernel rejects up
+    /// front (unknown targets,
     /// [`psnt_fault::Fault::SupplyGlitch`]). A glitch plan surfaces as
     /// [`psnt_netlist::NetlistError::UnsupportedBatchFault`] naming
     /// both the fault kind and the offending lane, so callers can route
@@ -406,7 +386,7 @@ impl GateLevelArray {
     /// The batch simulator comes from the context's
     /// [`psnt_ctx::BatchSimPool`], so a fault-coverage campaign walking
     /// hundreds of plans amortises one kernel construction across all
-    /// its 64-plan chunks.
+    /// its words.
     ///
     /// # Errors
     ///
@@ -904,21 +884,6 @@ impl GateLevelPulseGen {
         result
     }
 
-    /// [`GateLevelPulseGen::measured_skew`] on a caller-held simulator
-    /// from [`GateLevelPulseGen::make_sim`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures.
-    #[deprecated(since = "0.1.0", note = "use `measured_skew` with a `RunCtx`")]
-    pub fn measured_skew_with(
-        &self,
-        sim: &mut Simulator<'_>,
-        code: crate::pulsegen::DelayCode,
-    ) -> Result<Time, SensorError> {
-        self.measured_skew_on(sim, code)
-    }
-
     fn measured_skew_on(
         &self,
         sim: &mut Simulator<'_>,
@@ -1150,23 +1115,6 @@ impl GateLevelSystem {
             sim.fold_profile_into(&mut obs.metrics);
         }
         result
-    }
-
-    /// [`GateLevelSystem::run_measures`] on a caller-held simulator
-    /// from [`GateLevelSystem::make_sim`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures, and reports a missing pulse if a
-    /// sequence did not produce P/CP edges.
-    #[deprecated(since = "0.1.0", note = "use `run_measures` with a `RunCtx`")]
-    pub fn run_measures_with(
-        &self,
-        sim: &mut Simulator<'_>,
-        code: crate::pulsegen::DelayCode,
-        rails: &[Voltage],
-    ) -> Result<Vec<GateLevelMeasure>, SensorError> {
-        self.run_measures_on(sim, code, rails)
     }
 
     fn run_measures_on(

@@ -98,7 +98,7 @@ pub enum Fault {
     },
     /// Harness-level fault: a streamed campaign's record sink starts
     /// returning errors after delivering `after_records` records —
-    /// exercises the abort path (producer joined, terminal
+    /// exercises the abort path (sweep stopped, terminal
     /// `StreamRecord::Aborted` emitted, partials preserved). The event
     /// kernel ignores it; test sinks and the chaos soak harness apply
     /// it.

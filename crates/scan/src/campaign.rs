@@ -18,8 +18,9 @@ use psnt_core::code::ThermometerCode;
 use psnt_core::encoder::{Encoder, EncodingPolicy};
 use psnt_core::system::{Measurement, SensorConfig, SensorSystem};
 use psnt_ctx::RunCtx;
-use psnt_engine::{Engine, JobOutcome, JobSpec, RetryPolicy};
+use psnt_engine::{Engine, JobError, JobOutcome, JobSpec, RetryPolicy};
 use psnt_obs::{Event as ObsEvent, Observer, RemoteSpan};
+use psnt_pdn::grid::PowerGrid;
 use psnt_pdn::waveform::Waveform;
 use serde::{Deserialize, Serialize};
 
@@ -171,8 +172,8 @@ pub struct ResilientCampaignResult {
 ///
 /// Records arrive in a fixed order regardless of worker count: every
 /// site in floorplan order, then one frame per sampling instant, then
-/// the summary (always last). Collecting them reconstructs the exact
-/// [`ResilientCampaignResult`] the in-memory path would have returned.
+/// the summary (always last). Collecting them is exactly how the
+/// in-memory paths build their [`ResilientCampaignResult`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum StreamRecord {
     /// One site's completed series and outcome.
@@ -268,48 +269,53 @@ impl StreamRecord {
     }
 }
 
-/// Sites per producer batch in [`Campaign::run_streamed`]. Fixed (not
-/// worker-count dependent), so chunk boundaries — and therefore record
-/// order and seeds — are identical at any worker count.
+/// Sites per engine batch of the site sweep. Fixed (not worker-count
+/// dependent), so chunk boundaries — and therefore record order and
+/// seeds — are identical at any worker count.
 const STREAM_CHUNK_SITES: usize = 32;
 
-/// Bound of the producer→consumer channel: about two chunks of records
-/// may be in flight, which caps peak memory while still letting the
-/// workers compute ahead of a slow sink.
-const STREAM_CHANNEL_BOUND: usize = 2 * STREAM_CHUNK_SITES;
-
-/// Producer→consumer message of [`Campaign::run_streamed`].
-enum StreamMsg {
-    Site {
-        site: usize,
-        outcome: JobOutcome<Result<(SiteSeries, Option<RemoteSpan>), ScanError>>,
+/// Where a campaign's rail waveforms come from.
+enum Rails<'a> {
+    /// Per-tile loads, solved on the floorplan's grid (and on an
+    /// optional ground grid) and sampled `samples` times, `dt` apart
+    /// from `start`.
+    Loads {
+        tile_loads: &'a [Waveform],
+        ground_grid: Option<&'a PowerGrid>,
+        start: Time,
+        dt: Time,
+        samples: usize,
     },
-    /// A finished chunk's merged worker metrics, sent after its sites
-    /// so the observer merge order is deterministic.
-    Metrics(Box<psnt_obs::MetricsRegistry>),
-    /// The producer's supervisor tripped at a chunk boundary; no
-    /// further sites will arrive.
-    Interrupted(psnt_sup::Interrupt),
+    /// Externally solved rails sampled at explicit instants.
+    Solved {
+        tile_supplies: Vec<Waveform>,
+        tile_bounces: Option<Vec<Waveform>>,
+        instants: Vec<Time>,
+    },
 }
 
-/// Everything [`Campaign::run_dual`] and [`Campaign::run_resilient`]
-/// share before the per-site sweep: validated inputs, solved rail
-/// waveforms and the sampling instants.
-struct SweepInputs {
-    tile_supplies: Vec<Waveform>,
-    tile_bounces: Option<Vec<Waveform>>,
-    instants: Vec<Time>,
-    /// Cycle-window index of each instant (one sweep window per
-    /// instant), carried into every streamed `Site` record.
-    windows: Vec<usize>,
-    v_nom: f64,
-    /// Upper end of the solved waveform range — the campaign span's
-    /// sim-time interval grows to cover it so the `grid_solve` child
-    /// nests inside its parent.
-    solve_end: Time,
+/// How an entry point treats a failed site; also labels its campaign
+/// span.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// [`Campaign::run_dual`]: the first failed site fails the run.
+    Plain,
+    /// [`Campaign::run_resilient`]: failed sites degrade and the
+    /// records are collected in memory.
+    Resilient,
+    /// [`Campaign::run_streamed`]: failed sites degrade and the records
+    /// go to the caller's sink.
+    Streamed,
 }
 
 /// A multi-site measurement campaign.
+///
+/// Every entry point is one per-site sweep ([`Campaign::run_streamed`]
+/// and its `from_rails` twin hand the records to the caller's sink);
+/// the in-memory entry points are a sink that collects the records,
+/// and the plain ones ([`Campaign::run`], [`Campaign::run_dual`]) are
+/// that sink with [`RetryPolicy::none`] and the first failed site
+/// failing the run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Campaign {
     floorplan: Floorplan,
@@ -374,52 +380,6 @@ impl Campaign {
         self.run_dual(ctx, tile_loads, None, start, dt, samples)
     }
 
-    /// [`Campaign::run`] with the site sweep parallelized on `engine`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Campaign::run`].
-    #[deprecated(since = "0.1.0", note = "use `run` with a `RunCtx`")]
-    pub fn run_on(
-        &self,
-        engine: &Engine,
-        tile_loads: &[Waveform],
-        start: Time,
-        dt: Time,
-        samples: usize,
-    ) -> Result<CampaignResult, ScanError> {
-        self.run(
-            &mut RunCtx::new(engine.clone()),
-            tile_loads,
-            start,
-            dt,
-            samples,
-        )
-    }
-
-    /// [`Campaign::run`] with an explicit optional observer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Campaign::run`].
-    #[deprecated(since = "0.1.0", note = "use `run` with a `RunCtx`")]
-    pub fn run_observed(
-        &self,
-        tile_loads: &[Waveform],
-        start: Time,
-        dt: Time,
-        samples: usize,
-        observer: Option<&mut Observer>,
-    ) -> Result<CampaignResult, ScanError> {
-        self.run(
-            &mut RunCtx::serial().with_observer_opt(observer),
-            tile_loads,
-            start,
-            dt,
-            samples,
-        )
-    }
-
     /// Like [`Campaign::run`], but with the return current flowing
     /// through a ground grid: every site's LOW-SENSE array then measures
     /// the local ground bounce. The ground grid mirrors the supply grid's
@@ -427,21 +387,21 @@ impl Campaign {
     /// bounce at a tile is its IR rise above the board ground, computed
     /// from the same per-tile currents.
     ///
-    /// The per-site measurement sweep is parallelized over the
-    /// context's engine; a serial context is this code at one worker,
-    /// not a fork. Determinism: each site is an independent job keyed
-    /// by its floorplan index; the engine collects site series in
+    /// This is the resilient sweep ([`Campaign::run_resilient`]) with
+    /// [`RetryPolicy::none`] and no degradation: the first failed site
+    /// fails the run. Determinism: each site is an independent job
+    /// keyed by its floorplan index and results are collected in
     /// floorplan order, so the [`CampaignResult`] (codes, maps, frames,
     /// worst droop/bounce) is bit-identical at any worker count.
     ///
-    /// When the context carries an observer: one `scan`/`site` event in
-    /// site order (tile, name, worst levels), running
-    /// `campaign.worst_droop_mv` / `campaign.worst_bounce_mv` gauges,
-    /// and span timing around the grid solve and the measurement sweep.
-    /// Telemetry is worker-count independent too — per-site events are
-    /// emitted in site order after the sweep joins, and the workers'
-    /// metrics registries are merged into the observer's in worker
-    /// order. Results are identical with and without an observer.
+    /// When the context carries an observer: per site, in site order,
+    /// its span tree and one `scan`/`site` event (tile, name, worst
+    /// levels); running `campaign.worst_droop_mv` /
+    /// `campaign.worst_bounce_mv` gauges; and span timing around the
+    /// grid solve and the measurement sweep. Telemetry is worker-count
+    /// independent too — the workers' metrics registries are merged
+    /// into the observer's chunk by chunk in worker order. Results are
+    /// identical with and without an observer.
     ///
     /// # Errors
     ///
@@ -449,123 +409,351 @@ impl Campaign {
     /// mismatches and propagates grid, sensor and chain failures; when
     /// several sites fail, the error of the lowest-indexed site is
     /// returned.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a site's panic, as [`Engine::run_batch`] does —
+    /// including one injected by a [`psnt_fault::Fault::SitePanic`] plan
+    /// on the context, which only the resilient entry points degrade.
     pub fn run_dual(
         &self,
         ctx: &mut RunCtx<'_>,
         tile_loads: &[Waveform],
-        ground_grid: Option<&psnt_pdn::grid::PowerGrid>,
+        ground_grid: Option<&PowerGrid>,
         start: Time,
         dt: Time,
         samples: usize,
     ) -> Result<CampaignResult, ScanError> {
-        let mut campaign_span = ctx.observer().map(|o| {
-            o.begin_span("campaign")
-                .attr("sites", &(self.floorplan.sites().len() as u64))
-                .attr("samples", &(samples as u64))
-                .sim_interval_ps(
-                    start.picoseconds(),
-                    (start + dt * samples as f64).picoseconds(),
-                )
-        });
-        let prep = self.prepare_sweep(ctx, tile_loads, ground_grid, start, dt, samples)?;
-        if let Some(span) = campaign_span.as_mut() {
-            span.cover_sim_ps(prep.solve_end.picoseconds());
-        }
-        let quiet = Waveform::constant(0.0);
-        let measure_span = ctx.observer().map(|o| {
-            o.begin_span("measure_sweep").sim_interval_ps(
-                prep.instants[0].picoseconds(),
-                prep.instants[prep.instants.len() - 1].picoseconds(),
-            )
-        });
-        // Workers record their site spans against the observer's epoch
-        // and return the finished trees; the observer assigns ids after
-        // the join, in site order, so the stream never depends on which
-        // worker ran which site.
-        let epoch = ctx.observer().map(|o| o.epoch());
-        let site_defs = self.floorplan.sites();
-        let batch = ctx
-            .engine()
-            .run_batch(&JobSpec::new(site_defs.len()), |job| {
-                let site = &site_defs[job.index()];
-                let mut site_span = epoch.map(|e| {
-                    RemoteSpan::begin("site", e, job.worker() as u32 + 1)
-                        .attr("site", &(job.index() as u64))
-                        .attr("tile", &(site.tile as u64))
-                        .attr("name", &site.name)
-                        .sim_interval_ps(
-                            prep.instants[0].picoseconds(),
-                            prep.instants[prep.instants.len() - 1].picoseconds(),
-                        )
-                });
-                let system = SensorSystem::new(self.config.clone())?;
-                let vdd = &prep.tile_supplies[site.tile];
-                let gnd = prep.tile_bounces.as_ref().map_or(&quiet, |b| &b[site.tile]);
-                let mut measurements = Vec::with_capacity(prep.instants.len());
-                for &at in &prep.instants {
-                    let measure =
-                        epoch.map(|e| RemoteSpan::begin("measure", e, job.worker() as u32 + 1));
-                    measurements.push(system.measure_at(vdd, gnd, at).map_err(ScanError::from)?);
-                    if let (Some(span), Some(measure)) = (site_span.as_mut(), measure) {
-                        span.child(
-                            measure
-                                .sim_interval_ps(at.picoseconds(), at.picoseconds())
-                                .end(),
-                        );
-                    }
-                }
-                job.metrics.counter_add("campaign.sites_done", 1);
-                Ok::<(SiteSeries, Option<RemoteSpan>), ScanError>((
-                    SiteSeries {
-                        tile: site.tile,
-                        name: site.name.clone(),
-                        measurements,
-                    },
-                    site_span.map(RemoteSpan::end),
-                ))
-            })?;
-        let (sites, site_spans): (Vec<SiteSeries>, Vec<Option<RemoteSpan>>) =
-            batch.results.into_iter().unzip();
-        if let Some(obs) = ctx.observer() {
-            obs.metrics.merge(&batch.metrics);
-            for span in site_spans.into_iter().flatten() {
-                obs.emit_remote_tree(&span);
-            }
-            emit_site_events(obs, &sites, prep.v_nom);
-        }
-        if let (Some(obs), Some(span)) = (ctx.observer(), measure_span) {
-            obs.end_span(span);
-        }
-
-        let mut frames = Vec::with_capacity(samples);
-        for k in 0..samples {
-            let codes: Vec<ThermometerCode> = sites
-                .iter()
-                .map(|s| s.measurements[k].hs_code.clone())
-                .collect();
-            frames.push(self.chain.capture(&codes)?);
-        }
-        if let (Some(obs), Some(span)) = (ctx.observer(), campaign_span) {
-            obs.end_span(span);
-        }
-        Ok(CampaignResult {
-            sites,
-            instants: prep.instants,
-            frames,
-        })
+        let rails = Rails::Loads {
+            tile_loads,
+            ground_grid,
+            start,
+            dt,
+            samples,
+        };
+        Ok(self
+            .collect(ctx, rails, RetryPolicy::none(), Mode::Plain)?
+            .result)
     }
 
-    /// Validates the campaign inputs and solves the rail waveforms —
-    /// the stage every run variant shares before its per-site sweep.
-    fn prepare_sweep(
+    /// Like [`Campaign::run_dual`], but the campaign **completes with
+    /// partial results when individual sites fail**: each site runs as
+    /// an isolated job ([`Engine::run_batch_isolated`]) under the given
+    /// deterministic [`RetryPolicy`], and a site whose every attempt
+    /// fails is *degraded* — it contributes an empty measurement series
+    /// and all-`X` bits to every scan frame — instead of aborting the
+    /// run.
+    ///
+    /// When the context carries a [`psnt_fault::FaultPlan`] with
+    /// [`psnt_fault::Fault::SitePanic`] entries, those sites panic on
+    /// their first attempt — the harness-level fault used to exercise
+    /// this degradation path end-to-end (a retrying policy recovers
+    /// them; [`RetryPolicy::none`] leaves them degraded).
+    ///
+    /// Determinism: sites are independent jobs keyed by floorplan
+    /// index, retries happen inside the owning job with seeds derived
+    /// from `(ctx seed, site, attempt)`, and outcomes are collected in
+    /// site order — so the whole [`ResilientCampaignResult`], including
+    /// which sites degraded, is bit-identical at any worker count. The
+    /// result is exactly the collected records of
+    /// [`Campaign::run_streamed`].
+    ///
+    /// Telemetry (when observed): everything [`Campaign::run_dual`]
+    /// emits for measured sites, plus one `scan`/`degraded` event per
+    /// degraded site, the `campaign.sites_degraded` counter, and
+    /// `campaign.worst_code_error` / `campaign.dead_elements` gauges
+    /// summarising the degradation.
+    ///
+    /// # Errors
+    ///
+    /// Returns the same input-validation and grid-solve errors as
+    /// [`Campaign::run_dual`], and chain-capture failures. Per-site
+    /// measurement failures do **not** abort the run — they surface in
+    /// [`ResilientCampaignResult::outcomes`].
+    ///
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_resilient(
         &self,
         ctx: &mut RunCtx<'_>,
         tile_loads: &[Waveform],
-        ground_grid: Option<&psnt_pdn::grid::PowerGrid>,
+        ground_grid: Option<&PowerGrid>,
         start: Time,
         dt: Time,
         samples: usize,
-    ) -> Result<SweepInputs, ScanError> {
+        retry: RetryPolicy,
+    ) -> Result<ResilientCampaignResult, ScanError> {
+        let rails = Rails::Loads {
+            tile_loads,
+            ground_grid,
+            start,
+            dt,
+            samples,
+        };
+        self.collect(ctx, rails, retry, Mode::Resilient)
+    }
+
+    /// [`Campaign::run_resilient`] against **externally solved rails**:
+    /// per-tile supply (and optionally ground-bounce) waveforms plus
+    /// explicit sampling instants, skipping the internal relaxation
+    /// transient entirely. This is the fast path for workload-driven
+    /// campaigns whose rail waveforms come from the sparse PDN solver
+    /// ([`psnt_pdn::grid::PowerGrid::solve_delta`]) — at 1,600 nodes a
+    /// per-cycle relaxation sweep would dwarf the measurement cost.
+    ///
+    /// Only instrumented tiles' waveforms are sampled; uninstrumented
+    /// entries may be cheap placeholders (e.g. a constant), but the
+    /// vectors must still be grid-shaped so tile indexing stays honest.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScanError::InvalidConfig`] for grid-shape mismatches or
+    /// empty/unsorted instants; per-site failures degrade as in
+    /// [`Campaign::run_resilient`].
+    pub fn run_resilient_from_rails(
+        &self,
+        ctx: &mut RunCtx<'_>,
+        tile_supplies: Vec<Waveform>,
+        tile_bounces: Option<Vec<Waveform>>,
+        instants: Vec<Time>,
+        retry: RetryPolicy,
+    ) -> Result<ResilientCampaignResult, ScanError> {
+        let rails = Rails::Solved {
+            tile_supplies,
+            tile_bounces,
+            instants,
+        };
+        self.collect(ctx, rails, retry, Mode::Resilient)
+    }
+
+    /// Streams a resilient campaign instead of accumulating it: each
+    /// chunk's site records go to `sink` on the calling thread and are
+    /// dropped before the next chunk is swept — so peak memory holds at
+    /// most one chunk of sites plus a per-instant code buffer for frame
+    /// assembly, never a full [`CampaignResult`]. That is what lets a
+    /// 256+-site workload campaign run with flat memory while its
+    /// records land directly in a `psnt-obs` sink (see
+    /// [`StreamRecord::to_event`]).
+    ///
+    /// Semantics match [`Campaign::run_resilient`] exactly — that entry
+    /// point is this sweep with a collecting sink: sites run as
+    /// isolated jobs under `retry`, failing sites degrade to empty
+    /// series and all-`X` frame bits, and a
+    /// [`psnt_fault::Fault::SitePanic`] plan in the context degrades (or
+    /// recovers, with retries) the same sites. Sites are sharded into
+    /// fixed-size chunks independent of the worker count, each chunk
+    /// sweeps on the context's engine, and records are delivered in
+    /// floorplan order — sites first, then one [`StreamRecord::Frame`]
+    /// per instant, then the [`StreamRecord::Summary`] (also returned)
+    /// — so the stream is **bit-identical at any worker count**.
+    ///
+    /// When the context carries an observer, the per-site telemetry of
+    /// [`Campaign::run_resilient`] (site spans, `scan`/`site` and
+    /// `scan`/`degraded` events, counters and gauges) is emitted
+    /// incrementally from the consuming thread, still in site order.
+    ///
+    /// # Errors
+    ///
+    /// Input-validation, grid-solve and chain-capture failures as
+    /// [`Campaign::run_resilient`]; additionally, the first error the
+    /// sink returns aborts the stream and is propagated (workers stop at
+    /// the next chunk boundary), and a trip of the context's supervisor
+    /// stops the sweep at the next chunk boundary with
+    /// [`ScanError::Interrupted`]. Either way the truncated stream is
+    /// closed with a best-effort terminal [`StreamRecord::Aborted`]
+    /// carrying the count of site records already delivered. Per-site
+    /// measurement failures do **not** abort the run — they stream as
+    /// degraded records.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_streamed(
+        &self,
+        ctx: &mut RunCtx<'_>,
+        tile_loads: &[Waveform],
+        ground_grid: Option<&PowerGrid>,
+        start: Time,
+        dt: Time,
+        samples: usize,
+        retry: RetryPolicy,
+        mut sink: impl FnMut(StreamRecord) -> Result<(), ScanError>,
+    ) -> Result<DegradationSummary, ScanError> {
+        let rails = Rails::Loads {
+            tile_loads,
+            ground_grid,
+            start,
+            dt,
+            samples,
+        };
+        self.sweep(ctx, rails, retry, Mode::Streamed, &mut sink)
+    }
+
+    /// [`Campaign::run_streamed`] against externally solved rails (see
+    /// [`Campaign::run_resilient_from_rails`] for the rails contract):
+    /// the chip-scale streaming path a workload campaign drives, with
+    /// rail waveforms from the sparse PDN solver and measurement
+    /// windows chosen by the workload.
+    ///
+    /// # Errors
+    ///
+    /// Rail validation as [`Campaign::run_resilient_from_rails`]; sink
+    /// and degradation semantics as [`Campaign::run_streamed`].
+    pub fn run_streamed_from_rails(
+        &self,
+        ctx: &mut RunCtx<'_>,
+        tile_supplies: Vec<Waveform>,
+        tile_bounces: Option<Vec<Waveform>>,
+        instants: Vec<Time>,
+        retry: RetryPolicy,
+        mut sink: impl FnMut(StreamRecord) -> Result<(), ScanError>,
+    ) -> Result<DegradationSummary, ScanError> {
+        let rails = Rails::Solved {
+            tile_supplies,
+            tile_bounces,
+            instants,
+        };
+        self.sweep(ctx, rails, retry, Mode::Streamed, &mut sink)
+    }
+
+    /// The collecting sink behind every in-memory entry point: runs the
+    /// sweep and gathers its records into a [`ResilientCampaignResult`].
+    fn collect(
+        &self,
+        ctx: &mut RunCtx<'_>,
+        rails: Rails<'_>,
+        retry: RetryPolicy,
+        mode: Mode,
+    ) -> Result<ResilientCampaignResult, ScanError> {
+        let n = self.floorplan.sites().len();
+        let (mut sites, mut outcomes) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let (mut instants, mut frames) = (Vec::new(), Vec::new());
+        let summary = self.sweep(ctx, rails, retry, mode, &mut |record| {
+            match record {
+                StreamRecord::Site {
+                    series, outcome, ..
+                } => {
+                    sites.push(series);
+                    outcomes.push(outcome);
+                }
+                StreamRecord::Frame { instant, frame, .. } => {
+                    instants.push(instant);
+                    frames.push(frame);
+                }
+                StreamRecord::Summary { .. } | StreamRecord::Aborted { .. } => {}
+            }
+            Ok(())
+        })?;
+        Ok(ResilientCampaignResult {
+            result: CampaignResult {
+                sites,
+                instants,
+                frames,
+            },
+            outcomes,
+            summary,
+        })
+    }
+
+    /// One campaign run of any entry point: validates (and, for
+    /// [`Rails::Loads`], solves) the rails inside the `campaign` span,
+    /// runs the site sweep and closes the stream with its
+    /// [`StreamRecord::Summary`].
+    fn sweep(
+        &self,
+        ctx: &mut RunCtx<'_>,
+        rails: Rails<'_>,
+        retry: RetryPolicy,
+        mode: Mode,
+        sink: &mut impl FnMut(StreamRecord) -> Result<(), ScanError>,
+    ) -> Result<DegradationSummary, ScanError> {
+        let (supplies, bounces, instants, campaign_span) = match rails {
+            Rails::Loads {
+                tile_loads,
+                ground_grid,
+                start,
+                dt,
+                samples,
+            } => {
+                let end = start + dt * samples as f64;
+                let mut span = self.campaign_span(ctx, mode, samples, false, start, end);
+                let (supplies, bounces, solve_end) =
+                    self.solve_loads(ctx, tile_loads, ground_grid, start, dt, samples)?;
+                if let Some(span) = span.as_mut() {
+                    span.cover_sim_ps(solve_end.picoseconds());
+                }
+                let instants: Vec<Time> = (0..samples)
+                    .map(|k| start + dt * (k as f64 + 0.5))
+                    .collect();
+                (supplies, bounces, instants, span)
+            }
+            Rails::Solved {
+                tile_supplies,
+                tile_bounces,
+                instants,
+            } => {
+                self.check_rails(&tile_supplies, tile_bounces.as_deref(), &instants)?;
+                let (t0, t1) = (instants[0], instants[instants.len() - 1]);
+                let span = self.campaign_span(ctx, mode, instants.len(), true, t0, t1);
+                (tile_supplies, tile_bounces, instants, span)
+            }
+        };
+        let fail_fast = mode == Mode::Plain;
+        let out = self.site_sweep(
+            ctx,
+            &supplies,
+            bounces.as_deref(),
+            &instants,
+            retry,
+            fail_fast,
+            sink,
+        );
+        if let (Some(obs), Some(span)) = (ctx.observer(), campaign_span) {
+            obs.end_span(span);
+        }
+        let windows = instants.len();
+        let summary = out?;
+        sink(StreamRecord::Summary { windows, summary })?;
+        Ok(summary)
+    }
+
+    /// Opens the `campaign` span (when observed) over `[t0, t1]`,
+    /// labelled with the entry point's mode and rail source.
+    fn campaign_span(
+        &self,
+        ctx: &mut RunCtx<'_>,
+        mode: Mode,
+        samples: usize,
+        from_rails: bool,
+        t0: Time,
+        t1: Time,
+    ) -> Option<psnt_obs::Span> {
+        ctx.observer().map(|o| {
+            let mut span = o
+                .begin_span("campaign")
+                .attr("sites", &(self.floorplan.sites().len() as u64))
+                .attr("samples", &(samples as u64));
+            match mode {
+                Mode::Plain => {}
+                Mode::Resilient => span = span.attr("resilient", &true),
+                Mode::Streamed => span = span.attr("streamed", &true),
+            }
+            if from_rails {
+                span = span.attr("from_rails", &true);
+            }
+            span.sim_interval_ps(t0.picoseconds(), t1.picoseconds())
+        })
+    }
+
+    /// Validates the campaign inputs and solves the supply (and
+    /// ground-bounce) waveforms; returns them with the end of the solved
+    /// range.
+    #[allow(clippy::type_complexity)]
+    fn solve_loads(
+        &self,
+        ctx: &mut RunCtx<'_>,
+        tile_loads: &[Waveform],
+        ground_grid: Option<&PowerGrid>,
+        start: Time,
+        dt: Time,
+        samples: usize,
+    ) -> Result<(Vec<Waveform>, Option<Vec<Waveform>>, Time), ScanError> {
         let grid = self.floorplan.grid();
         if tile_loads.len() != grid.tiles() {
             return Err(ScanError::InvalidConfig {
@@ -616,131 +804,17 @@ impl Campaign {
         if let (Some(obs), Some(span)) = (ctx.observer(), solve_span) {
             obs.end_span(span);
         }
-        let instants: Vec<Time> = (0..samples)
-            .map(|k| start + dt * (k as f64 + 0.5))
-            .collect();
-        Ok(SweepInputs {
-            tile_supplies,
-            tile_bounces,
-            windows: (0..instants.len()).collect(),
-            instants,
-            v_nom: grid.v_pad().volts(),
-            solve_end: end,
-        })
+        Ok((tile_supplies, tile_bounces, end))
     }
 
-    /// Like [`Campaign::run_dual`], but the campaign **completes with
-    /// partial results when individual sites fail**: each site runs as
-    /// an isolated job ([`Engine::run_batch_isolated`]) under the given
-    /// deterministic [`RetryPolicy`], and a site whose every attempt
-    /// fails is *degraded* — it contributes an empty measurement series
-    /// and all-`X` bits to every scan frame — instead of aborting the
-    /// run.
-    ///
-    /// When the context carries a [`psnt_fault::FaultPlan`] with
-    /// [`psnt_fault::Fault::SitePanic`] entries, those sites panic on
-    /// their first attempt — the harness-level fault used to exercise
-    /// this degradation path end-to-end (a retrying policy recovers
-    /// them; [`RetryPolicy::none`] leaves them degraded).
-    ///
-    /// Determinism: sites are independent jobs keyed by floorplan
-    /// index, retries happen inside the owning job with seeds derived
-    /// from `(ctx seed, site, attempt)`, and outcomes are collected in
-    /// site order — so the whole [`ResilientCampaignResult`], including
-    /// which sites degraded, is bit-identical at any worker count.
-    ///
-    /// Telemetry (when observed): everything [`Campaign::run_dual`]
-    /// emits for measured sites, plus one `scan`/`degraded` event per
-    /// degraded site, the `campaign.sites_degraded` counter, and
-    /// `campaign.worst_code_error` / `campaign.dead_elements` gauges
-    /// summarising the degradation.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same input-validation and grid-solve errors as
-    /// [`Campaign::run_dual`], and chain-capture failures. Per-site
-    /// measurement failures do **not** abort the run — they surface in
-    /// [`ResilientCampaignResult::outcomes`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_resilient(
+    /// Validates externally solved rails: grid-shaped waveforms and
+    /// non-empty, strictly increasing instants.
+    fn check_rails(
         &self,
-        ctx: &mut RunCtx<'_>,
-        tile_loads: &[Waveform],
-        ground_grid: Option<&psnt_pdn::grid::PowerGrid>,
-        start: Time,
-        dt: Time,
-        samples: usize,
-        retry: RetryPolicy,
-    ) -> Result<ResilientCampaignResult, ScanError> {
-        let mut campaign_span = ctx.observer().map(|o| {
-            o.begin_span("campaign")
-                .attr("sites", &(self.floorplan.sites().len() as u64))
-                .attr("samples", &(samples as u64))
-                .attr("resilient", &true)
-                .sim_interval_ps(
-                    start.picoseconds(),
-                    (start + dt * samples as f64).picoseconds(),
-                )
-        });
-        let prep = self.prepare_sweep(ctx, tile_loads, ground_grid, start, dt, samples)?;
-        if let Some(span) = campaign_span.as_mut() {
-            span.cover_sim_ps(prep.solve_end.picoseconds());
-        }
-        let out = self.resilient_sweep(ctx, prep, retry);
-        if let (Some(obs), Some(span)) = (ctx.observer(), campaign_span) {
-            obs.end_span(span);
-        }
-        out
-    }
-
-    /// [`Campaign::run_resilient`] against **externally solved rails**:
-    /// per-tile supply (and optionally ground-bounce) waveforms plus
-    /// explicit sampling instants, skipping the internal relaxation
-    /// transient entirely. This is the fast path for workload-driven
-    /// campaigns whose rail waveforms come from the sparse PDN solver
-    /// ([`psnt_pdn::grid::PowerGrid::solve_delta`]) — at 1,600 nodes a
-    /// per-cycle relaxation sweep would dwarf the measurement cost.
-    ///
-    /// Only instrumented tiles' waveforms are sampled; uninstrumented
-    /// entries may be cheap placeholders (e.g. a constant), but the
-    /// vectors must still be grid-shaped so tile indexing stays honest.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScanError::InvalidConfig`] for grid-shape mismatches or
-    /// empty/unsorted instants; per-site failures degrade as in
-    /// [`Campaign::run_resilient`].
-    pub fn run_resilient_from_rails(
-        &self,
-        ctx: &mut RunCtx<'_>,
-        tile_supplies: Vec<Waveform>,
-        tile_bounces: Option<Vec<Waveform>>,
-        instants: Vec<Time>,
-        retry: RetryPolicy,
-    ) -> Result<ResilientCampaignResult, ScanError> {
-        let prep = self.rails_inputs(tile_supplies, tile_bounces, instants)?;
-        let campaign_span = ctx.observer().map(|o| {
-            o.begin_span("campaign")
-                .attr("sites", &(self.floorplan.sites().len() as u64))
-                .attr("samples", &(prep.instants.len() as u64))
-                .attr("resilient", &true)
-                .attr("from_rails", &true)
-                .sim_interval_ps(prep.instants[0].picoseconds(), prep.solve_end.picoseconds())
-        });
-        let out = self.resilient_sweep(ctx, prep, retry);
-        if let (Some(obs), Some(span)) = (ctx.observer(), campaign_span) {
-            obs.end_span(span);
-        }
-        out
-    }
-
-    /// Validates externally solved rails into the shared sweep inputs.
-    fn rails_inputs(
-        &self,
-        tile_supplies: Vec<Waveform>,
-        tile_bounces: Option<Vec<Waveform>>,
-        instants: Vec<Time>,
-    ) -> Result<SweepInputs, ScanError> {
+        tile_supplies: &[Waveform],
+        tile_bounces: Option<&[Waveform]>,
+        instants: &[Time],
+    ) -> Result<(), ScanError> {
         let grid = self.floorplan.grid();
         if tile_supplies.len() != grid.tiles() {
             return Err(ScanError::InvalidConfig {
@@ -752,7 +826,7 @@ impl Campaign {
                 ),
             });
         }
-        if let Some(b) = &tile_bounces {
+        if let Some(b) = tile_bounces {
             if b.len() != grid.tiles() {
                 return Err(ScanError::InvalidConfig {
                     name: "tile_bounces",
@@ -764,349 +838,52 @@ impl Campaign {
                 });
             }
         }
-        // Reading the last instant doubles as the emptiness check, so
-        // there is no `expect` to go stale if the checks reorder.
-        let Some(&solve_end) = instants.last() else {
+        if instants.is_empty() {
             return Err(ScanError::InvalidConfig {
                 name: "instants",
                 reason: "need at least one sampling instant".into(),
             });
-        };
+        }
         if instants.windows(2).any(|w| w[1] <= w[0]) {
             return Err(ScanError::InvalidConfig {
                 name: "instants",
                 reason: "instants must be strictly increasing".into(),
             });
         }
-        Ok(SweepInputs {
-            tile_supplies,
-            tile_bounces,
-            windows: (0..instants.len()).collect(),
-            instants,
-            v_nom: grid.v_pad().volts(),
-            solve_end,
-        })
+        Ok(())
     }
 
-    /// The isolated per-site sweep, frame assembly and degradation
-    /// accounting shared by [`Campaign::run_resilient`] and
-    /// [`Campaign::run_resilient_from_rails`].
-    fn resilient_sweep(
-        &self,
-        ctx: &mut RunCtx<'_>,
-        prep: SweepInputs,
-        retry: RetryPolicy,
-    ) -> Result<ResilientCampaignResult, ScanError> {
-        let samples = prep.instants.len();
-        let quiet = Waveform::constant(0.0);
-        let panicking = ctx
-            .fault_plan()
-            .map(psnt_fault::FaultPlan::panicking_sites)
-            .unwrap_or_default();
-        let worker_panics = ctx
-            .fault_plan()
-            .map(psnt_fault::FaultPlan::worker_panics)
-            .unwrap_or_default();
-        let measure_span = ctx.observer().map(|o| {
-            o.begin_span("measure_sweep").sim_interval_ps(
-                prep.instants[0].picoseconds(),
-                prep.instants[prep.instants.len() - 1].picoseconds(),
-            )
-        });
-        let epoch = ctx.observer().map(|o| o.epoch());
-        let site_defs = self.floorplan.sites();
-        let spec = JobSpec::new(site_defs.len()).seed(ctx.seed());
-        let batch = ctx.engine().run_batch_isolated(&spec, retry, |job| {
-            if job.attempt() == 0 && panicking.contains(&job.index()) {
-                panic!("injected fault: site {} panicked", job.index());
-            }
-            if worker_panics
-                .iter()
-                .any(|&(j, a)| j == job.index() && job.attempt() <= a)
-            {
-                panic!(
-                    "injected fault: job {} panicked on attempt {}",
-                    job.index(),
-                    job.attempt()
-                );
-            }
-            let site = &site_defs[job.index()];
-            let mut site_span = epoch.map(|e| {
-                RemoteSpan::begin("site", e, job.worker() as u32 + 1)
-                    .attr("site", &(job.index() as u64))
-                    .attr("tile", &(site.tile as u64))
-                    .attr("name", &site.name)
-                    .attr("attempt", &u64::from(job.attempt()))
-                    .sim_interval_ps(
-                        prep.instants[0].picoseconds(),
-                        prep.instants[prep.instants.len() - 1].picoseconds(),
-                    )
-            });
-            let system = SensorSystem::new(self.config.clone())?;
-            let vdd = &prep.tile_supplies[site.tile];
-            let gnd = prep.tile_bounces.as_ref().map_or(&quiet, |b| &b[site.tile]);
-            let mut measurements = Vec::with_capacity(prep.instants.len());
-            for &at in &prep.instants {
-                let measure =
-                    epoch.map(|e| RemoteSpan::begin("measure", e, job.worker() as u32 + 1));
-                measurements.push(system.measure_at(vdd, gnd, at).map_err(ScanError::from)?);
-                if let (Some(span), Some(measure)) = (site_span.as_mut(), measure) {
-                    span.child(
-                        measure
-                            .sim_interval_ps(at.picoseconds(), at.picoseconds())
-                            .end(),
-                    );
-                }
-            }
-            job.metrics.counter_add("campaign.sites_done", 1);
-            Ok::<(SiteSeries, Option<RemoteSpan>), ScanError>((
-                SiteSeries {
-                    tile: site.tile,
-                    name: site.name.clone(),
-                    measurements,
-                },
-                site_span.map(RemoteSpan::end),
-            ))
-        });
-
-        let mut outcomes = Vec::with_capacity(site_defs.len());
-        let mut sites = Vec::with_capacity(site_defs.len());
-        let mut site_spans: Vec<RemoteSpan> = Vec::new();
-        for (i, outcome) in batch.results.into_iter().enumerate() {
-            let (series, site_outcome) = match outcome {
-                JobOutcome::Ok(Ok((series, span))) => {
-                    site_spans.extend(span);
-                    (series, SiteOutcome::Measured)
-                }
-                JobOutcome::Ok(Err(e)) => (
-                    SiteSeries {
-                        tile: site_defs[i].tile,
-                        name: site_defs[i].name.clone(),
-                        measurements: Vec::new(),
-                    },
-                    SiteOutcome::Degraded {
-                        error: e.to_string(),
-                    },
-                ),
-                JobOutcome::Failed(je) => (
-                    SiteSeries {
-                        tile: site_defs[i].tile,
-                        name: site_defs[i].name.clone(),
-                        measurements: Vec::new(),
-                    },
-                    SiteOutcome::Degraded {
-                        error: je.to_string(),
-                    },
-                ),
-            };
-            sites.push(series);
-            outcomes.push(site_outcome);
-        }
-
-        // Degraded sites read out as unresolved flip-flops: a full-width
-        // all-X code in every frame, keeping the frame geometry intact.
-        let unknown: ThermometerCode = ThermometerCode::new(
-            (0..self.chain.bits_per_site())
-                .map(|_| Logic::X)
-                .collect::<LogicVector>(),
-        );
-        let mut frames = Vec::with_capacity(samples);
-        for k in 0..samples {
-            let codes: Vec<ThermometerCode> = sites
-                .iter()
-                .map(|s| {
-                    s.measurements
-                        .get(k)
-                        .map_or_else(|| unknown.clone(), |m| m.hs_code.clone())
-                })
-                .collect();
-            frames.push(self.chain.capture(&codes)?);
-        }
-
-        let summary = DegradationSummary {
-            sites_degraded: outcomes.iter().filter(|o| !o.is_measured()).count(),
-            dead_elements: frames
-                .iter()
-                .map(|f| f.iter().filter(|b| *b == Logic::X).count())
-                .max()
-                .unwrap_or(0),
-            worst_code_error: sites
-                .iter()
-                .flat_map(|s| &s.measurements)
-                .flat_map(|m| [&m.hs_code, &m.ls_code])
-                .map(encoder_level_gap)
-                .max()
-                .unwrap_or(0),
-        };
-
-        if let Some(obs) = ctx.observer() {
-            obs.metrics.merge(&batch.metrics);
-            for span in &site_spans {
-                obs.emit_remote_tree(span);
-            }
-            emit_site_events(obs, &sites, prep.v_nom);
-            for (i, o) in outcomes.iter().enumerate() {
-                if let SiteOutcome::Degraded { error } = o {
-                    obs.metrics.counter_add("campaign.sites_degraded", 1);
-                    obs.event(
-                        ObsEvent::new("scan", "degraded")
-                            .field("site", &(i as u64))
-                            .field("tile", &(site_defs[i].tile as u64))
-                            .field("name", &site_defs[i].name)
-                            .field("error", error),
-                    );
-                }
-            }
-            obs.metrics
-                .gauge_set_max("campaign.worst_code_error", summary.worst_code_error as f64);
-            obs.metrics
-                .gauge_set_max("campaign.dead_elements", summary.dead_elements as f64);
-        }
-        if let (Some(obs), Some(span)) = (ctx.observer(), measure_span) {
-            obs.end_span(span);
-        }
-
-        Ok(ResilientCampaignResult {
-            result: CampaignResult {
-                sites,
-                instants: prep.instants,
-                frames,
-            },
-            outcomes,
-            summary,
-        })
-    }
-
-    /// Streams a resilient campaign instead of accumulating it: site
-    /// records flow through a **bounded channel** from the measuring
-    /// workers to the calling thread, which hands each one to `sink` and
-    /// drops it — so peak memory holds at most a couple of chunks of
-    /// in-flight sites plus a per-instant code buffer for frame
-    /// assembly, never a full [`CampaignResult`]. That is what lets a
-    /// 256+-site workload campaign run with flat memory while its
-    /// records land directly in a `psnt-obs` sink (see
-    /// [`StreamRecord::to_event`]).
+    /// The per-site sweep behind every entry point — the only code
+    /// that runs site jobs on the engine. Sites are swept in fixed
+    /// chunks of isolated jobs; each chunk's outcomes are handed to
+    /// `sink` in site order (with their telemetry) before the next chunk
+    /// starts, so at most one chunk of series is held at a time. The
+    /// frames are then assembled from the per-instant code buffer and
+    /// the summary returned (the caller sinks the final
+    /// [`StreamRecord::Summary`]).
     ///
-    /// Semantics match [`Campaign::run_resilient`] exactly: sites run as
-    /// isolated jobs under `retry`, failing sites degrade to empty
-    /// series and all-`X` frame bits, and a
-    /// [`psnt_fault::Fault::SitePanic`] plan in the context degrades (or
-    /// recovers, with retries) the same sites. Collecting the records
-    /// reconstructs the in-memory result **bit-identically at any worker
-    /// count**: sites are sharded into fixed-size chunks independent of
-    /// the worker count, each chunk sweeps on the context's engine, and
-    /// records are delivered in floorplan order — sites first, then one
-    /// [`StreamRecord::Frame`] per instant, then the
-    /// [`StreamRecord::Summary`] (also returned).
-    ///
-    /// When the context carries an observer, the per-site telemetry of
-    /// [`Campaign::run_resilient`] (site spans, `scan`/`site` and
-    /// `scan`/`degraded` events, counters and gauges) is emitted
-    /// incrementally from the consuming thread, still in site order.
-    ///
-    /// # Errors
-    ///
-    /// Input-validation, grid-solve and chain-capture failures as
-    /// [`Campaign::run_resilient`]; additionally, the first error the
-    /// sink returns aborts the stream and is propagated (workers stop at
-    /// the next chunk boundary), and a trip of the context's supervisor
-    /// stops the sweep at the next chunk boundary with
-    /// [`ScanError::Interrupted`]. Either way the truncated stream is
-    /// closed with a best-effort terminal [`StreamRecord::Aborted`]
-    /// carrying the count of site records already delivered. Per-site
-    /// measurement failures do **not** abort the run — they stream as
-    /// degraded records.
+    /// With `fail_fast` (the plain entry points) a failed site is not
+    /// degraded: its error stops the sweep and is returned — the
+    /// lowest-indexed failure, since outcomes arrive in site order —
+    /// and its panic is re-raised.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_streamed(
+    fn site_sweep(
         &self,
         ctx: &mut RunCtx<'_>,
-        tile_loads: &[Waveform],
-        ground_grid: Option<&psnt_pdn::grid::PowerGrid>,
-        start: Time,
-        dt: Time,
-        samples: usize,
+        supplies: &[Waveform],
+        bounces: Option<&[Waveform]>,
+        instants: &[Time],
         retry: RetryPolicy,
-        mut sink: impl FnMut(StreamRecord) -> Result<(), ScanError>,
-    ) -> Result<DegradationSummary, ScanError> {
-        let mut campaign_span = ctx.observer().map(|o| {
-            o.begin_span("campaign")
-                .attr("sites", &(self.floorplan.sites().len() as u64))
-                .attr("samples", &(samples as u64))
-                .attr("streamed", &true)
-                .sim_interval_ps(
-                    start.picoseconds(),
-                    (start + dt * samples as f64).picoseconds(),
-                )
-        });
-        let prep = self.prepare_sweep(ctx, tile_loads, ground_grid, start, dt, samples)?;
-        if let Some(span) = campaign_span.as_mut() {
-            span.cover_sim_ps(prep.solve_end.picoseconds());
-        }
-        let out = self.streamed_sweep(ctx, prep, retry, &mut sink);
-        if let (Some(obs), Some(span)) = (ctx.observer(), campaign_span) {
-            obs.end_span(span);
-        }
-        let summary = out?;
-        sink(StreamRecord::Summary {
-            windows: samples,
-            summary,
-        })?;
-        Ok(summary)
-    }
-
-    /// [`Campaign::run_streamed`] against externally solved rails (see
-    /// [`Campaign::run_resilient_from_rails`] for the rails contract):
-    /// the chip-scale streaming path a workload campaign drives, with
-    /// rail waveforms from the sparse PDN solver and measurement
-    /// windows chosen by the workload.
-    ///
-    /// # Errors
-    ///
-    /// Rail validation as [`Campaign::run_resilient_from_rails`]; sink
-    /// and degradation semantics as [`Campaign::run_streamed`].
-    pub fn run_streamed_from_rails(
-        &self,
-        ctx: &mut RunCtx<'_>,
-        tile_supplies: Vec<Waveform>,
-        tile_bounces: Option<Vec<Waveform>>,
-        instants: Vec<Time>,
-        retry: RetryPolicy,
-        mut sink: impl FnMut(StreamRecord) -> Result<(), ScanError>,
-    ) -> Result<DegradationSummary, ScanError> {
-        let prep = self.rails_inputs(tile_supplies, tile_bounces, instants)?;
-        let windows = prep.instants.len();
-        let campaign_span = ctx.observer().map(|o| {
-            o.begin_span("campaign")
-                .attr("sites", &(self.floorplan.sites().len() as u64))
-                .attr("samples", &(prep.instants.len() as u64))
-                .attr("streamed", &true)
-                .attr("from_rails", &true)
-                .sim_interval_ps(prep.instants[0].picoseconds(), prep.solve_end.picoseconds())
-        });
-        let out = self.streamed_sweep(ctx, prep, retry, &mut sink);
-        if let (Some(obs), Some(span)) = (ctx.observer(), campaign_span) {
-            obs.end_span(span);
-        }
-        let summary = out?;
-        sink(StreamRecord::Summary { windows, summary })?;
-        Ok(summary)
-    }
-
-    /// The chunked producer/consumer sweep shared by
-    /// [`Campaign::run_streamed`] and
-    /// [`Campaign::run_streamed_from_rails`]: sweeps sites in fixed
-    /// chunks, streams records through the bounded channel, assembles
-    /// frames from the code buffer and returns the summary (the caller
-    /// sinks the final [`StreamRecord::Summary`]).
-    fn streamed_sweep(
-        &self,
-        ctx: &mut RunCtx<'_>,
-        prep: SweepInputs,
-        retry: RetryPolicy,
+        fail_fast: bool,
         sink: &mut impl FnMut(StreamRecord) -> Result<(), ScanError>,
     ) -> Result<DegradationSummary, ScanError> {
-        let samples = prep.instants.len();
-        let quiet = Waveform::constant(0.0);
+        let samples = instants.len();
+        let (t0, t1) = (
+            instants[0].picoseconds(),
+            instants[samples - 1].picoseconds(),
+        );
+        let v_nom = self.floorplan.grid().v_pad().volts();
+        let quiet = &Waveform::constant(0.0);
         let panicking = ctx
             .fault_plan()
             .map(psnt_fault::FaultPlan::panicking_sites)
@@ -1115,17 +892,17 @@ impl Campaign {
             .fault_plan()
             .map(psnt_fault::FaultPlan::worker_panics)
             .unwrap_or_default();
-        let mut measure_span = ctx.observer().map(|o| {
-            o.begin_span("measure_sweep").sim_interval_ps(
-                prep.instants[0].picoseconds(),
-                prep.instants[prep.instants.len() - 1].picoseconds(),
-            )
-        });
+        let mut measure_span = ctx
+            .observer()
+            .map(|o| o.begin_span("measure_sweep").sim_interval_ps(t0, t1));
+        // Workers record their site spans against the observer's epoch
+        // and return the finished trees; the observer assigns ids here,
+        // in site order, so the stream never depends on which worker ran
+        // which site.
         let epoch = ctx.observer().map(|o| o.epoch());
         let site_defs = self.floorplan.sites();
         let n_sites = site_defs.len();
-        let engine = ctx.engine().clone();
-        let seed = ctx.seed();
+        let engine: Engine = ctx.engine().clone();
         let sup = ctx.supervisor().clone();
 
         let unknown: ThermometerCode = ThermometerCode::new(
@@ -1141,259 +918,171 @@ impl Campaign {
         // The only cross-site state the frames need: one code per site
         // per instant (a few bits each) — not the measurement series.
         let mut frame_codes: Vec<Vec<ThermometerCode>> = vec![Vec::with_capacity(n_sites); samples];
-        let mut sink_result: Result<(), ScanError> = Ok(());
-        let mut trip: Option<psnt_sup::Interrupt> = None;
+        let mut abort: Option<ScanError> = None;
         let mut sites_streamed = 0usize;
+        let degraded = |site: usize, error: String| {
+            let series = SiteSeries {
+                tile: site_defs[site].tile,
+                name: site_defs[site].name.clone(),
+                measurements: Vec::new(),
+            };
+            (series, SiteOutcome::Degraded { error }, None)
+        };
 
-        let (tx, rx) = std::sync::mpsc::sync_channel::<StreamMsg>(STREAM_CHANNEL_BOUND);
-        let prep_ref = &prep;
-        let quiet_ref = &quiet;
-        let panicking_ref = &panicking;
-        let worker_panics_ref = &worker_panics;
-        let sup_prod = sup.clone();
-        std::thread::scope(|scope| {
-            // Producer: sweeps fixed-size site chunks on the engine and
-            // sends each chunk's ordered outcomes. A closed channel
-            // (sink failure on the consumer side) stops it at the next
-            // send; a supervisor trip stops it at the next chunk
-            // boundary, so an interrupted stream is always a
-            // whole-chunk prefix of the full run.
-            scope.spawn(move || {
-                let mut chunk_start = 0usize;
-                while chunk_start < n_sites {
-                    if let Err(reason) = sup_prod.check() {
-                        let _ = tx.send(StreamMsg::Interrupted(reason));
-                        return;
-                    }
-                    let chunk_len = STREAM_CHUNK_SITES.min(n_sites - chunk_start);
-                    let spec = JobSpec::new(chunk_len).seed(seed);
-                    let batch = engine.run_batch_isolated(&spec, retry, |job| {
-                        let index = chunk_start + job.index();
-                        if job.attempt() == 0 && panicking_ref.contains(&index) {
-                            panic!("injected fault: site {index} panicked");
-                        }
-                        if worker_panics_ref
-                            .iter()
-                            .any(|&(j, a)| j == index && job.attempt() <= a)
-                        {
-                            panic!(
-                                "injected fault: job {index} panicked on attempt {}",
-                                job.attempt()
-                            );
-                        }
-                        let site = &site_defs[index];
-                        let mut site_span = epoch.map(|e| {
-                            RemoteSpan::begin("site", e, job.worker() as u32 + 1)
-                                .attr("site", &(index as u64))
-                                .attr("tile", &(site.tile as u64))
-                                .attr("name", &site.name)
-                                .attr("attempt", &u64::from(job.attempt()))
-                                .sim_interval_ps(
-                                    prep_ref.instants[0].picoseconds(),
-                                    prep_ref.instants[prep_ref.instants.len() - 1].picoseconds(),
-                                )
-                        });
-                        let system = SensorSystem::new(self.config.clone())?;
-                        let vdd = &prep_ref.tile_supplies[site.tile];
-                        let gnd = prep_ref
-                            .tile_bounces
-                            .as_ref()
-                            .map_or(quiet_ref, |b| &b[site.tile]);
-                        let mut measurements = Vec::with_capacity(prep_ref.instants.len());
-                        for &at in &prep_ref.instants {
-                            let measure = epoch
-                                .map(|e| RemoteSpan::begin("measure", e, job.worker() as u32 + 1));
-                            measurements
-                                .push(system.measure_at(vdd, gnd, at).map_err(ScanError::from)?);
-                            if let (Some(span), Some(measure)) = (site_span.as_mut(), measure) {
-                                span.child(
-                                    measure
-                                        .sim_interval_ps(at.picoseconds(), at.picoseconds())
-                                        .end(),
-                                );
-                            }
-                        }
-                        job.metrics.counter_add("campaign.sites_done", 1);
-                        Ok::<(SiteSeries, Option<RemoteSpan>), ScanError>((
-                            SiteSeries {
-                                tile: site.tile,
-                                name: site.name.clone(),
-                                measurements,
-                            },
-                            site_span.map(RemoteSpan::end),
-                        ))
-                    });
-                    for (j, mut outcome) in batch.results.into_iter().enumerate() {
-                        // Rebase the chunk-local job index so degraded
-                        // error strings name the floorplan site — the
-                        // same strings the in-memory path produces.
-                        if let JobOutcome::Failed(je) = &mut outcome {
-                            je.job = chunk_start + j;
-                        }
-                        let msg = StreamMsg::Site {
-                            site: chunk_start + j,
-                            outcome,
-                        };
-                        if tx.send(msg).is_err() {
-                            return;
-                        }
-                    }
-                    if tx
-                        .send(StreamMsg::Metrics(Box::new(batch.metrics)))
-                        .is_err()
-                    {
-                        return;
-                    }
-                    sup_prod.charge_events(chunk_len as u64);
-                    chunk_start += chunk_len;
+        // A trip stops the sweep at a chunk boundary, so an interrupted
+        // stream is always a whole-chunk prefix of the full run.
+        'sweep: for chunk_start in (0..n_sites).step_by(STREAM_CHUNK_SITES) {
+            if let Err(reason) = sup.check() {
+                abort = Some(ScanError::Interrupted(reason));
+                break;
+            }
+            let chunk_len = STREAM_CHUNK_SITES.min(n_sites - chunk_start);
+            let spec = JobSpec::new(chunk_len).seed(ctx.seed());
+            let batch = engine.run_batch_isolated(&spec, retry, |job| {
+                let index = chunk_start + job.index();
+                if job.attempt() == 0 && panicking.contains(&index) {
+                    panic!("injected fault: site {index} panicked");
                 }
+                if worker_panics
+                    .iter()
+                    .any(|&(j, a)| j == index && job.attempt() <= a)
+                {
+                    panic!(
+                        "injected fault: job {index} panicked on attempt {}",
+                        job.attempt()
+                    );
+                }
+                let site = &site_defs[index];
+                let mut site_span = epoch.map(|e| {
+                    RemoteSpan::begin("site", e, job.worker() as u32 + 1)
+                        .attr("site", &(index as u64))
+                        .attr("tile", &(site.tile as u64))
+                        .attr("name", &site.name)
+                        .attr("attempt", &u64::from(job.attempt()))
+                        .sim_interval_ps(t0, t1)
+                });
+                let system = SensorSystem::new(self.config.clone())?;
+                let vdd = &supplies[site.tile];
+                let gnd = bounces.map_or(quiet, |b| &b[site.tile]);
+                let mut measurements = Vec::with_capacity(samples);
+                for &at in instants {
+                    let measure =
+                        epoch.map(|e| RemoteSpan::begin("measure", e, job.worker() as u32 + 1));
+                    measurements.push(system.measure_at(vdd, gnd, at).map_err(ScanError::from)?);
+                    if let (Some(span), Some(measure)) = (site_span.as_mut(), measure) {
+                        span.child(
+                            measure
+                                .sim_interval_ps(at.picoseconds(), at.picoseconds())
+                                .end(),
+                        );
+                    }
+                }
+                job.metrics.counter_add("campaign.sites_done", 1);
+                Ok::<(SiteSeries, Option<RemoteSpan>), ScanError>((
+                    SiteSeries {
+                        tile: site.tile,
+                        name: site.name.clone(),
+                        measurements,
+                    },
+                    site_span.map(RemoteSpan::end),
+                ))
             });
 
-            // Consumer (this thread): owns the observer and the sink.
-            for msg in rx {
-                match msg {
-                    StreamMsg::Metrics(m) => {
-                        if let Some(obs) = ctx.observer() {
-                            obs.metrics.merge(&m);
-                        }
+            for (j, outcome) in batch.results.into_iter().enumerate() {
+                let site = chunk_start + j;
+                // Failures name the floorplan site, not the chunk-local
+                // job.
+                let (series, site_outcome, span) = match outcome {
+                    JobOutcome::Ok(Ok((series, span))) => (series, SiteOutcome::Measured, span),
+                    JobOutcome::Ok(Err(e)) if fail_fast => {
+                        abort = Some(e);
+                        break 'sweep;
                     }
-                    StreamMsg::Interrupted(reason) => {
-                        // The producer stopped itself; record why and
-                        // stop consuming (nothing else will arrive).
-                        trip = Some(reason);
-                        break;
+                    JobOutcome::Failed(je) if fail_fast => {
+                        std::panic::panic_any(JobError { job: site, ..je })
                     }
-                    StreamMsg::Site { site, outcome } => {
-                        let (series, site_outcome, span) = match outcome {
-                            JobOutcome::Ok(Ok((series, span))) => {
-                                (series, SiteOutcome::Measured, span)
-                            }
-                            JobOutcome::Ok(Err(e)) => (
-                                SiteSeries {
-                                    tile: site_defs[site].tile,
-                                    name: site_defs[site].name.clone(),
-                                    measurements: Vec::new(),
-                                },
-                                SiteOutcome::Degraded {
-                                    error: e.to_string(),
-                                },
-                                None,
-                            ),
-                            JobOutcome::Failed(je) => (
-                                SiteSeries {
-                                    tile: site_defs[site].tile,
-                                    name: site_defs[site].name.clone(),
-                                    measurements: Vec::new(),
-                                },
-                                SiteOutcome::Degraded {
-                                    error: je.to_string(),
-                                },
-                                None,
-                            ),
-                        };
-                        for (k, codes) in frame_codes.iter_mut().enumerate() {
-                            codes.push(
-                                series
-                                    .measurements
-                                    .get(k)
-                                    .map_or_else(|| unknown.clone(), |m| m.hs_code.clone()),
-                            );
-                        }
-                        if let Some(gap) = series
+                    JobOutcome::Ok(Err(e)) => degraded(site, e.to_string()),
+                    JobOutcome::Failed(je) => {
+                        degraded(site, JobError { job: site, ..je }.to_string())
+                    }
+                };
+                for (k, codes) in frame_codes.iter_mut().enumerate() {
+                    codes.push(
+                        series
                             .measurements
-                            .iter()
-                            .flat_map(|m| [&m.hs_code, &m.ls_code])
-                            .map(encoder_level_gap)
-                            .max()
-                        {
-                            summary.worst_code_error = summary.worst_code_error.max(gap);
-                        }
-                        if let SiteOutcome::Degraded { .. } = &site_outcome {
-                            summary.sites_degraded += 1;
-                        }
-                        if let Some(obs) = ctx.observer() {
-                            if let Some(span) = &span {
-                                obs.emit_remote_tree(span);
-                            }
-                            emit_site_events(obs, std::slice::from_ref(&series), prep_ref.v_nom);
-                            if let SiteOutcome::Degraded { error } = &site_outcome {
-                                obs.metrics.counter_add("campaign.sites_degraded", 1);
-                                obs.event(
-                                    ObsEvent::new("scan", "degraded")
-                                        .field("site", &(site as u64))
-                                        .field("tile", &(site_defs[site].tile as u64))
-                                        .field("name", &site_defs[site].name)
-                                        .field("error", error),
-                                );
-                            }
-                        }
-                        let record = StreamRecord::Site {
-                            site,
-                            windows: prep_ref.windows.clone(),
-                            series,
-                            outcome: site_outcome,
-                        };
-                        if let Err(e) = sink(record) {
-                            sink_result = Err(e);
-                            // Dropping the receiver (by leaving the
-                            // loop) disconnects the channel; the
-                            // producer stops at its next send.
-                            break;
-                        }
-                        sites_streamed += 1;
+                            .get(k)
+                            .map_or_else(|| unknown.clone(), |m| m.hs_code.clone()),
+                    );
+                }
+                if let Some(gap) = series
+                    .measurements
+                    .iter()
+                    .flat_map(|m| [&m.hs_code, &m.ls_code])
+                    .map(encoder_level_gap)
+                    .max()
+                {
+                    summary.worst_code_error = summary.worst_code_error.max(gap);
+                }
+                if !site_outcome.is_measured() {
+                    summary.sites_degraded += 1;
+                }
+                if let Some(obs) = ctx.observer() {
+                    if let Some(span) = &span {
+                        obs.emit_remote_tree(span);
                     }
+                    emit_site_events(obs, site, &series, &site_outcome, v_nom);
+                }
+                let record = StreamRecord::Site {
+                    site,
+                    windows: (0..samples).collect(),
+                    series,
+                    outcome: site_outcome,
+                };
+                if let Err(e) = sink(record) {
+                    abort = Some(e);
+                    break 'sweep;
+                }
+                sites_streamed += 1;
+            }
+            // Merged after the chunk's sites, in worker order, so the
+            // observer's metrics never depend on the worker count.
+            if let Some(obs) = ctx.observer() {
+                obs.metrics.merge(&batch.metrics);
+            }
+            sup.charge_events(chunk_len as u64);
+        }
+
+        // The frame tail is supervised like the site phase.
+        if abort.is_none() {
+            for (k, codes) in frame_codes.iter().enumerate() {
+                if let Err(reason) = sup.check() {
+                    abort = Some(ScanError::Interrupted(reason));
+                    break;
+                }
+                let frame = self.chain.capture(codes)?;
+                let dead = frame.iter().filter(|b| *b == Logic::X).count();
+                summary.dead_elements = summary.dead_elements.max(dead);
+                if let Err(e) = sink(StreamRecord::Frame {
+                    index: k,
+                    instant: instants[k],
+                    frame,
+                }) {
+                    abort = Some(e);
+                    break;
                 }
             }
-        });
-        // The scope has joined the producer, so the site stream is
-        // final. A sink failure or a supervisor trip ends the run here:
-        // label the truncated stream with a terminal `Aborted` record
-        // (best-effort — the sink may be the failing party) instead of
-        // cutting it silently, then surface the error.
-        let abort = match (sink_result, trip) {
-            (Err(e), _) => Some(e),
-            (Ok(()), Some(reason)) => Some(ScanError::Interrupted(reason)),
-            (Ok(()), None) => None,
-        };
+        }
+        // A sink failure, a failed site under `fail_fast` or a
+        // supervisor trip ends the run here: label the truncated stream
+        // with a terminal `Aborted` record (best-effort — the sink may
+        // be the failing party) instead of cutting it silently, then
+        // surface the error.
         if let Some(e) = abort {
             let _ = sink(StreamRecord::Aborted {
                 sites_completed: sites_streamed,
                 reason: e.to_string(),
             });
             if let (Some(obs), Some(span)) = (ctx.observer(), measure_span.take()) {
-                obs.end_span(span);
-            }
-            return Err(e);
-        }
-
-        // The frame tail is supervised and labelled the same way as
-        // the site phase: a sink failure or a trip between frames
-        // still closes the stream with a terminal `Aborted` record
-        // instead of cutting it silently.
-        let mut tail_abort: Option<ScanError> = None;
-        for (k, codes) in frame_codes.iter().enumerate() {
-            if let Err(reason) = sup.check() {
-                tail_abort = Some(ScanError::Interrupted(reason));
-                break;
-            }
-            let frame = self.chain.capture(codes)?;
-            let dead = frame.iter().filter(|b| *b == Logic::X).count();
-            summary.dead_elements = summary.dead_elements.max(dead);
-            if let Err(e) = sink(StreamRecord::Frame {
-                index: k,
-                instant: prep.instants[k],
-                frame,
-            }) {
-                tail_abort = Some(e);
-                break;
-            }
-        }
-        if let Some(e) = tail_abort {
-            let _ = sink(StreamRecord::Aborted {
-                sites_completed: sites_streamed,
-                reason: e.to_string(),
-            });
-            if let (Some(obs), Some(span)) = (ctx.observer(), measure_span) {
                 obs.end_span(span);
             }
             return Err(e);
@@ -1409,84 +1098,45 @@ impl Campaign {
         }
         Ok(summary)
     }
-
-    /// [`Campaign::run_dual`] with an explicit optional observer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Campaign::run_dual`].
-    #[deprecated(since = "0.1.0", note = "use `run_dual` with a `RunCtx`")]
-    pub fn run_dual_observed(
-        &self,
-        tile_loads: &[Waveform],
-        ground_grid: Option<&psnt_pdn::grid::PowerGrid>,
-        start: Time,
-        dt: Time,
-        samples: usize,
-        observer: Option<&mut Observer>,
-    ) -> Result<CampaignResult, ScanError> {
-        self.run_dual(
-            &mut RunCtx::serial().with_observer_opt(observer),
-            tile_loads,
-            ground_grid,
-            start,
-            dt,
-            samples,
-        )
-    }
-
-    /// [`Campaign::run_dual`] with an explicit engine and optional
-    /// observer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Campaign::run_dual`].
-    #[deprecated(since = "0.1.0", note = "use `run_dual` with a `RunCtx`")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_dual_observed_on(
-        &self,
-        engine: &Engine,
-        tile_loads: &[Waveform],
-        ground_grid: Option<&psnt_pdn::grid::PowerGrid>,
-        start: Time,
-        dt: Time,
-        samples: usize,
-        observer: Option<&mut Observer>,
-    ) -> Result<CampaignResult, ScanError> {
-        self.run_dual(
-            &mut RunCtx::new(engine.clone()).with_observer_opt(observer),
-            tile_loads,
-            ground_grid,
-            start,
-            dt,
-            samples,
-        )
-    }
 }
 
-/// Emits the per-site `scan`/`site` events and worst droop/bounce
-/// gauges shared by every observed run variant. Sites are visited in
-/// floorplan order after the sweep joins, so the telemetry stream is
+/// Emits one site's `scan`/`site` event and worst droop/bounce gauges,
+/// plus its `scan`/`degraded` event and counter when it degraded. Sites
+/// are visited in floorplan order, so the telemetry stream is
 /// worker-count independent.
-fn emit_site_events(obs: &mut Observer, sites: &[SiteSeries], v_nom: f64) {
-    for series in sites {
-        let mut event = ObsEvent::new("scan", "site")
-            .field("tile", &(series.tile as u64))
-            .field("name", &series.name)
-            .field("worst_level", &(series.worst_level() as u64));
-        if let Some(v) = series.worst_voltage() {
-            let droop_mv = (v_nom - v.volts()) * 1e3;
-            obs.metrics
-                .gauge_set_max("campaign.worst_droop_mv", droop_mv);
-            event = event.field("worst_droop_mv", &droop_mv);
-        }
-        if let Some(b) = series.worst_bounce() {
-            let bounce_mv = b.volts() * 1e3;
-            obs.metrics
-                .gauge_set_max("campaign.worst_bounce_mv", bounce_mv);
-            event = event.field("worst_bounce_mv", &bounce_mv);
-        }
-        obs.event(event);
+fn emit_site_events(
+    obs: &mut Observer,
+    site: usize,
+    series: &SiteSeries,
+    outcome: &SiteOutcome,
+    v_nom: f64,
+) {
+    let mut event = ObsEvent::new("scan", "site")
+        .field("tile", &(series.tile as u64))
+        .field("name", &series.name)
+        .field("worst_level", &(series.worst_level() as u64));
+    if let Some(v) = series.worst_voltage() {
+        let droop_mv = (v_nom - v.volts()) * 1e3;
+        obs.metrics
+            .gauge_set_max("campaign.worst_droop_mv", droop_mv);
+        event = event.field("worst_droop_mv", &droop_mv);
+    }
+    if let Some(b) = series.worst_bounce() {
+        let bounce_mv = b.volts() * 1e3;
+        obs.metrics
+            .gauge_set_max("campaign.worst_bounce_mv", bounce_mv);
+        event = event.field("worst_bounce_mv", &bounce_mv);
+    }
+    obs.event(event);
+    if let SiteOutcome::Degraded { error } = outcome {
+        obs.metrics.counter_add("campaign.sites_degraded", 1);
+        obs.event(
+            ObsEvent::new("scan", "degraded")
+                .field("site", &(site as u64))
+                .field("tile", &(series.tile as u64))
+                .field("name", &series.name)
+                .field("error", error),
+        );
     }
 }
 

@@ -23,6 +23,7 @@ use psnt_cells::units::{Current, Resistance, Time, Voltage};
 use psnt_core::system::SensorConfig;
 use psnt_ctx::RunCtx;
 use psnt_engine::RetryPolicy;
+use psnt_obs::{MetricsRegistry, Observer, Span};
 use psnt_pdn::grid::PowerGrid;
 use psnt_pdn::waveform::Waveform;
 use psnt_scan::campaign::{Campaign, DegradationSummary, ResilientCampaignResult, StreamRecord};
@@ -34,6 +35,7 @@ use crate::checkpoint::{CheckpointPolicy, WorkloadCheckpoint, CHECKPOINT_VERSION
 use crate::error::WorkloadError;
 use crate::noc::NocMesh;
 use crate::stepper::CycleStepper;
+use crate::supervised::{invalid_resume, CycleConsumer};
 use crate::traffic::TrafficPattern;
 
 /// Full description of a workload-driven campaign.
@@ -204,6 +206,81 @@ struct Rails {
     profile: NoiseProfile,
 }
 
+/// The batch paths' [`CycleConsumer`]: samples every site's rail at
+/// each cycle's midpoint.
+struct SiteRails<'w> {
+    workload: &'w NocWorkload,
+    /// The grid node each site senses, in floorplan order.
+    site_nodes: Vec<usize>,
+    /// Per-site sampled `(instant, volts)` points so far.
+    points: Vec<Vec<(Time, f64)>>,
+}
+
+impl CycleConsumer for SiteRails<'_> {
+    type Checkpoint = WorkloadCheckpoint;
+
+    fn begin_span(&self, obs: &mut Observer) -> Span {
+        let cfg = &self.workload.config;
+        obs.begin_span("workload_solve")
+            .attr("cycles", &(cfg.cycles as u64))
+            .attr(
+                "nodes",
+                &(self.workload.campaign.floorplan().grid().tiles() as u64),
+            )
+            .sim_interval_ps(0.0, (cfg.cycle_time * cfg.cycles as f64).picoseconds())
+    }
+
+    fn resume(&mut self, ckpt: &WorkloadCheckpoint, done: usize) -> Result<(), WorkloadError> {
+        let sites = self.site_nodes.len();
+        if ckpt.site_points.len() != sites {
+            return Err(invalid_resume(format!(
+                "{} site series captured, floorplan has {sites}",
+                ckpt.site_points.len()
+            )));
+        }
+        if let Some((k, series)) = ckpt
+            .site_points
+            .iter()
+            .enumerate()
+            .find(|(_, s)| s.len() != done)
+        {
+            return Err(invalid_resume(format!(
+                "site {k} captured {} rail points, cycle {done} expects {done}",
+                series.len()
+            )));
+        }
+        self.points.clone_from(&ckpt.site_points);
+        Ok(())
+    }
+
+    fn consume(&mut self, c: usize, stepper: &mut CycleStepper<'_>) -> Result<(), WorkloadError> {
+        let t_c = self.workload.config.cycle_time * (c as f64 + 0.5);
+        for (points, &node) in self.points.iter_mut().zip(&self.site_nodes) {
+            points.push((t_c, stepper.voltages()[node]));
+        }
+        Ok(())
+    }
+
+    fn checkpoint(
+        &self,
+        seed: u64,
+        stepper: &CycleStepper<'_>,
+        stats_done: Vec<WindowStats>,
+    ) -> WorkloadCheckpoint {
+        WorkloadCheckpoint {
+            version: CHECKPOINT_VERSION,
+            seed,
+            stepper: stepper.snapshot(),
+            stats_done,
+            site_points: self.points.clone(),
+        }
+    }
+
+    fn record(&self, metrics: &mut MetricsRegistry) {
+        metrics.gauge_set_max("workload.windows", self.workload.windows() as f64);
+    }
+}
+
 /// A workload-driven many-core campaign over an instrumented chip.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NocWorkload {
@@ -322,6 +399,12 @@ impl NocWorkload {
         &self.block_nodes[tile]
     }
 
+    /// The grid node each sensor site senses, in floorplan order.
+    pub(crate) fn site_nodes(&self) -> Vec<usize> {
+        let sites = self.campaign.floorplan().sites();
+        sites.iter().map(|s| s.tile).collect()
+    }
+
     /// The per-node load model: `idle + flit·count` spread over the
     /// tile's block. One closure shared by the stepper and any driver
     /// so both sides compute bit-identical currents.
@@ -332,139 +415,27 @@ impl NocWorkload {
         move |count: u32| idle_node + flit_node * f64::from(count)
     }
 
-    /// Drives the [`CycleStepper`] through the whole run with a neutral
-    /// actuation and collects rails + noise profile — the batch entry
-    /// points are thin drivers over the per-cycle core.
-    fn solve_rails(&self, ctx: &mut RunCtx<'_>) -> Result<Rails, WorkloadError> {
-        self.solve_rails_checkpointed(ctx, &CheckpointPolicy::none(), None)
-    }
-
-    /// The supervised, resumable cycle loop behind every batch entry
-    /// point. With a detached supervisor, no checkpoint policy and no
-    /// resume snapshot this is exactly the old unsupervised loop —
-    /// supervision costs one atomic load per cycle.
-    ///
-    /// The context's supervisor is checked once per cycle; a trip
-    /// writes a final checkpoint (when `policy.path` is set) and
-    /// surfaces as [`WorkloadError::Interrupted`]. Harness-level
-    /// faults on the context drive deterministic chaos:
-    /// [`Fault::CancelAt`](psnt_fault::Fault::CancelAt) cancels the
-    /// supervisor's token at exactly that cycle, and
-    /// [`Fault::DeadlineTrip`](psnt_fault::Fault::DeadlineTrip) trips
-    /// the wall-clock deadline at the run's midpoint.
-    fn solve_rails_checkpointed(
+    /// Drives the supervised cycle loop with a neutral actuation,
+    /// sampling every site's rail each cycle, and collects rails +
+    /// noise profile for the scan layer.
+    fn solve_rails(
         &self,
         ctx: &mut RunCtx<'_>,
         policy: &CheckpointPolicy,
         resume: Option<&WorkloadCheckpoint>,
     ) -> Result<Rails, WorkloadError> {
-        let cfg = &self.config;
-        let mut stepper = CycleStepper::new(self, ctx)?;
-        if let Some(obs) = ctx.observer() {
-            obs.metrics
-                .counter_add("workload.flits", stepper.planned_flits());
-        }
-        let grid = self.campaign.floorplan().grid();
-        let n = grid.tiles();
-        let v_nom = grid.v_pad().volts();
-        let dt = cfg.cycle_time;
-        let windows = self.windows();
-
-        let mut solve_span = ctx.observer().map(|o| {
-            o.begin_span("workload_solve")
-                .attr("cycles", &(cfg.cycles as u64))
-                .attr("nodes", &(n as u64))
-                .sim_interval_ps(0.0, (dt * cfg.cycles as f64).picoseconds())
-        });
-
-        let site_nodes: Vec<usize> = self
-            .campaign
-            .floorplan()
-            .sites()
-            .iter()
-            .map(|s| s.tile)
-            .collect();
-        let mut site_points: Vec<Vec<(Time, f64)>> =
-            vec![Vec::with_capacity(cfg.cycles); site_nodes.len()];
-        let mut stats = self.window_stats_shell();
-
-        let mut start = 0usize;
-        if let Some(ckpt) = resume {
-            start = self.restore_solve_state(
-                ctx,
-                ckpt,
-                &mut stepper,
-                &mut stats,
-                &mut site_points,
-                site_nodes.len(),
-            )?;
-        }
-
-        let sup = ctx.supervisor().clone();
-        let cancel_at = ctx.fault_plan().and_then(|p| p.cancel_at_cycle());
-        let trip_deadline_at = ctx
-            .fault_plan()
-            .is_some_and(|p| p.deadline_trip())
-            .then_some(cfg.cycles / 2);
-        let seed = ctx.seed();
-        let cadence = policy.every.or_else(|| sup.budget().checkpoint_cadence());
-        let snapshot = |stepper: &CycleStepper<'_>,
-                        stats: &[WindowStats],
-                        site_points: &[Vec<(Time, f64)>]| {
-            let done = stepper.cycle();
-            let touched = done.div_ceil(cfg.measure_every).min(windows);
-            WorkloadCheckpoint {
-                version: CHECKPOINT_VERSION,
-                seed,
-                stepper: stepper.snapshot(),
-                stats_done: stats[..touched].to_vec(),
-                site_points: site_points.to_vec(),
-            }
+        let site_nodes = self.site_nodes();
+        let mut rails = SiteRails {
+            workload: self,
+            points: vec![Vec::with_capacity(self.config.cycles); site_nodes.len()],
+            site_nodes,
         };
-
-        for c in start..cfg.cycles {
-            if cancel_at == Some(c as u64) {
-                sup.token().cancel();
-            }
-            if trip_deadline_at == Some(c) {
-                sup.force_expire();
-            }
-            if let Err(reason) = sup.check() {
-                if let Some(path) = policy.path.as_deref() {
-                    snapshot(&stepper, &stats, &site_points).save(path)?;
-                }
-                if let (Some(obs), Some(span)) = (ctx.observer(), solve_span.take()) {
-                    obs.end_span(span);
-                }
-                return Err(WorkloadError::Interrupted(reason));
-            }
-            sup.charge_events(1);
-            stepper.step()?;
-            let t_c = dt * (c as f64 + 0.5);
-            for (k, &nd) in site_nodes.iter().enumerate() {
-                site_points[k].push((t_c, stepper.voltages()[nd]));
-            }
-            self.accumulate_window(&mut stats, c, &stepper, n);
-            if let (Some(every), Some(path)) = (cadence, policy.path.as_deref()) {
-                if (c as u64 + 1).is_multiple_of(every) && c + 1 < cfg.cycles {
-                    snapshot(&stepper, &stats, &site_points).save(path)?;
-                }
-            }
-        }
-
-        if let Some(obs) = ctx.observer() {
-            obs.metrics
-                .counter_add("workload.delta_solves", stepper.delta_solves());
-            obs.metrics
-                .gauge_set_max("workload.windows", windows as f64);
-        }
-        if let (Some(obs), Some(span)) = (ctx.observer(), solve_span.take()) {
-            obs.end_span(span);
-        }
-
-        let mut tile_supplies = vec![Waveform::constant(v_nom); n];
-        for (k, points) in site_points.into_iter().enumerate() {
-            tile_supplies[site_nodes[k]] = Waveform::from_points(points)?;
+        let (stepper, stats) = self.drive(ctx, &mut rails, policy, resume)?;
+        let grid = self.campaign.floorplan().grid();
+        let v_nom = grid.v_pad().volts();
+        let mut tile_supplies = vec![Waveform::constant(v_nom); grid.tiles()];
+        for (points, &node) in rails.points.into_iter().zip(&rails.site_nodes) {
+            tile_supplies[node] = Waveform::from_points(points)?;
         }
         Ok(Rails {
             tile_supplies,
@@ -475,62 +446,6 @@ impl NocWorkload {
                 flits: stepper.planned_flits(),
             },
         })
-    }
-
-    /// Reinstates a solve checkpoint into a freshly planned run;
-    /// returns the cycle the loop continues from.
-    fn restore_solve_state(
-        &self,
-        ctx: &RunCtx<'_>,
-        ckpt: &WorkloadCheckpoint,
-        stepper: &mut CycleStepper<'_>,
-        stats: &mut [WindowStats],
-        site_points: &mut [Vec<(Time, f64)>],
-        sites: usize,
-    ) -> Result<usize, WorkloadError> {
-        let invalid = |reason: String| WorkloadError::InvalidConfig {
-            name: "resume",
-            reason,
-        };
-        if ckpt.version != CHECKPOINT_VERSION {
-            return Err(invalid(format!(
-                "checkpoint schema version {}, this build reads {CHECKPOINT_VERSION}",
-                ckpt.version
-            )));
-        }
-        if ckpt.seed != ctx.seed() {
-            return Err(invalid(format!(
-                "checkpoint was captured under seed {}, this run uses {}",
-                ckpt.seed,
-                ctx.seed()
-            )));
-        }
-        stepper.restore(&ckpt.stepper)?;
-        let done = stepper.cycle();
-        let touched = done.div_ceil(self.config.measure_every).min(self.windows());
-        if ckpt.stats_done.len() != touched {
-            return Err(invalid(format!(
-                "{} windows captured, cycle {done} expects {touched}",
-                ckpt.stats_done.len()
-            )));
-        }
-        stats[..touched].clone_from_slice(&ckpt.stats_done);
-        if ckpt.site_points.len() != sites {
-            return Err(invalid(format!(
-                "{} site series captured, floorplan has {sites}",
-                ckpt.site_points.len()
-            )));
-        }
-        for (k, series) in ckpt.site_points.iter().enumerate() {
-            if series.len() != done {
-                return Err(invalid(format!(
-                    "site {k} captured {} rail points, cycle {done} expects {done}",
-                    series.len()
-                )));
-            }
-            site_points[k] = series.clone();
-        }
-        Ok(done)
     }
 
     /// Empty per-window statistics, one per measurement window.
@@ -593,18 +508,7 @@ impl NocWorkload {
         ctx: &mut RunCtx<'_>,
         retry: RetryPolicy,
     ) -> Result<NocCampaignResult, WorkloadError> {
-        let rails = self.solve_rails(ctx)?;
-        let result = self.campaign.run_resilient_from_rails(
-            ctx,
-            rails.tile_supplies,
-            None,
-            rails.instants,
-            retry,
-        )?;
-        Ok(NocCampaignResult {
-            result,
-            profile: rails.profile,
-        })
+        self.run_checkpointed(ctx, retry, &CheckpointPolicy::none(), None)
     }
 
     /// Runs the campaign streamed: identical results to
@@ -623,19 +527,7 @@ impl NocWorkload {
         retry: RetryPolicy,
         sink: impl FnMut(StreamRecord) -> Result<(), ScanError>,
     ) -> Result<StreamedNocResult, WorkloadError> {
-        let rails = self.solve_rails(ctx)?;
-        let summary = self.campaign.run_streamed_from_rails(
-            ctx,
-            rails.tile_supplies,
-            None,
-            rails.instants,
-            retry,
-            sink,
-        )?;
-        Ok(StreamedNocResult {
-            summary,
-            profile: rails.profile,
-        })
+        self.run_streamed_checkpointed(ctx, retry, &CheckpointPolicy::none(), None, sink)
     }
 
     /// [`NocWorkload::run`] under a checkpoint policy, optionally
@@ -664,7 +556,7 @@ impl NocWorkload {
         policy: &CheckpointPolicy,
         resume: Option<&WorkloadCheckpoint>,
     ) -> Result<NocCampaignResult, WorkloadError> {
-        let rails = self.solve_rails_checkpointed(ctx, policy, resume)?;
+        let rails = self.solve_rails(ctx, policy, resume)?;
         let result = self.campaign.run_resilient_from_rails(
             ctx,
             rails.tile_supplies,
@@ -697,7 +589,7 @@ impl NocWorkload {
         resume: Option<&WorkloadCheckpoint>,
         sink: impl FnMut(StreamRecord) -> Result<(), ScanError>,
     ) -> Result<StreamedNocResult, WorkloadError> {
-        let rails = self.solve_rails_checkpointed(ctx, policy, resume)?;
+        let rails = self.solve_rails(ctx, policy, resume)?;
         let summary = self.campaign.run_streamed_from_rails(
             ctx,
             rails.tile_supplies,

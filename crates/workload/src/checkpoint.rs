@@ -11,6 +11,17 @@
 //! and the traffic plan (a pure function of the seed) is rebuilt, not
 //! stored.
 //!
+//! Both checkpoint types share one resume check (schema version, seed,
+//! stepper snapshot, window-statistics prefix). The stepper snapshot
+//! carries a fingerprint of the full workload config
+//! ([`psnt_obs::manifest::config_hash`] of the [`NocWorkloadConfig`]), so a
+//! snapshot captured under another config — say 3× the flit current
+//! with the same seed and traffic — is refused instead of resuming
+//! into a silent hybrid run. Restore also checks the snapshot's
+//! structure (routes and deferred destinations inside the mesh, a
+//! grid-sized, finite solution), so a corrupted snapshot is a
+//! structured error, never a panic in the next step.
+//!
 //! Checkpoints cover the cycle loop only. The scan sweep that follows
 //! the solve always runs in full — an interrupt during the sweep
 //! surfaces as the stream's terminal
@@ -20,7 +31,10 @@
 //!
 //! On-disk format: one JSON document, written atomically (`.tmp` +
 //! rename) so a crash mid-write never leaves a truncated checkpoint in
-//! place of a good one.
+//! place of a good one. Schema version 2 added the config fingerprint;
+//! version-1 files are refused.
+//!
+//! [`NocWorkloadConfig`]: crate::NocWorkloadConfig
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -37,7 +51,7 @@ use crate::stepper::StepperSnapshot;
 
 /// Schema version stamped into every checkpoint; loads refuse other
 /// versions instead of misinterpreting the payload.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Where and how often a supervised run snapshots.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -138,28 +152,50 @@ fn io_err(path: &Path, e: impl std::fmt::Display) -> WorkloadError {
     }
 }
 
-/// Writes `text` to `path` atomically: a sibling `.tmp` file is
-/// written and fsynced, then renamed over the destination.
-fn write_atomic(path: &Path, text: &str) -> Result<(), WorkloadError> {
+/// Writes `ckpt` to `path` as JSON, atomically: a sibling `.tmp` file
+/// is written, then renamed over the destination.
+pub(crate) fn save_json(ckpt: &impl Serialize, path: &Path) -> Result<(), WorkloadError> {
     let tmp = path.with_extension("tmp");
-    fs::write(&tmp, text).map_err(|e| io_err(&tmp, e))?;
+    fs::write(&tmp, json::to_string(ckpt)).map_err(|e| io_err(&tmp, e))?;
     fs::rename(&tmp, path).map_err(|e| io_err(path, e))
 }
 
-fn load_checked<T: Deserialize>(
-    path: &Path,
-    version_of: impl Fn(&T) -> u32,
-) -> Result<T, WorkloadError> {
+/// Reads a checkpoint, checking its schema version before decoding the
+/// payload, so a file of another version is named as such instead of
+/// failing to decode.
+fn load_checked<T: Deserialize>(path: &Path) -> Result<T, WorkloadError> {
     let text = fs::read_to_string(path).map_err(|e| io_err(path, e))?;
-    let ckpt: T = json::from_str(&text).map_err(|e| io_err(path, format!("decode: {e:?}")))?;
-    let v = version_of(&ckpt);
-    if v != CHECKPOINT_VERSION {
-        return Err(io_err(
+    let decode = |e| io_err(path, format!("decode: {e:?}"));
+    let value = json::parse(&text).map_err(decode)?;
+    match value.get("version").and_then(serde::Value::as_u64) {
+        Some(v) if v == u64::from(CHECKPOINT_VERSION) => json::from_value(&value).map_err(decode),
+        v => Err(io_err(
             path,
-            format!("schema version {v}, this build reads {CHECKPOINT_VERSION}"),
-        ));
+            format!(
+                "schema version {}, this build reads {CHECKPOINT_VERSION}",
+                v.map_or_else(|| "?".into(), |v| v.to_string())
+            ),
+        )),
     }
-    Ok(ckpt)
+}
+
+/// A checkpoint type the supervised driver writes and resumes from.
+pub(crate) trait Checkpoint: Serialize {
+    /// The state every checkpoint shares and one routine validates on
+    /// resume: `(version, seed, stepper, stats_done)`.
+    fn shared(&self) -> (u32, u64, &StepperSnapshot, &[WindowStats]);
+}
+
+impl Checkpoint for WorkloadCheckpoint {
+    fn shared(&self) -> (u32, u64, &StepperSnapshot, &[WindowStats]) {
+        (self.version, self.seed, &self.stepper, &self.stats_done)
+    }
+}
+
+impl Checkpoint for MitigatedCheckpoint {
+    fn shared(&self) -> (u32, u64, &StepperSnapshot, &[WindowStats]) {
+        (self.version, self.seed, &self.stepper, &self.stats_done)
+    }
 }
 
 impl WorkloadCheckpoint {
@@ -169,7 +205,7 @@ impl WorkloadCheckpoint {
     ///
     /// [`WorkloadError::Checkpoint`] on I/O failure.
     pub fn save(&self, path: &Path) -> Result<(), WorkloadError> {
-        write_atomic(path, &json::to_string(self))
+        save_json(self, path)
     }
 
     /// Loads and validates a checkpoint from `path`.
@@ -179,7 +215,7 @@ impl WorkloadCheckpoint {
     /// [`WorkloadError::Checkpoint`] on I/O failure, undecodable JSON,
     /// or a schema-version mismatch.
     pub fn load(path: &Path) -> Result<WorkloadCheckpoint, WorkloadError> {
-        load_checked(path, |c: &WorkloadCheckpoint| c.version)
+        load_checked(path)
     }
 
     /// The cycle the snapshot was captured at.
@@ -195,7 +231,7 @@ impl MitigatedCheckpoint {
     ///
     /// [`WorkloadError::Checkpoint`] on I/O failure.
     pub fn save(&self, path: &Path) -> Result<(), WorkloadError> {
-        write_atomic(path, &json::to_string(self))
+        save_json(self, path)
     }
 
     /// Loads and validates a checkpoint from `path`.
@@ -205,7 +241,7 @@ impl MitigatedCheckpoint {
     /// [`WorkloadError::Checkpoint`] on I/O failure, undecodable JSON,
     /// or a schema-version mismatch.
     pub fn load(path: &Path) -> Result<MitigatedCheckpoint, WorkloadError> {
-        load_checked(path, |c: &MitigatedCheckpoint| c.version)
+        load_checked(path)
     }
 
     /// The cycle the snapshot was captured at.
@@ -242,5 +278,18 @@ mod tests {
             Err(WorkloadError::Checkpoint { .. })
         ));
         fs::remove_file(&garbage).unwrap();
+    }
+
+    #[test]
+    fn load_names_a_foreign_schema_version() {
+        let path = std::env::temp_dir().join(format!("psnt-ckpt-v1-{}.json", std::process::id()));
+        fs::write(&path, r#"{"version": 1, "seed": 7}"#).unwrap();
+        match WorkloadCheckpoint::load(&path) {
+            Err(WorkloadError::Checkpoint { reason, .. }) => {
+                assert!(reason.contains("schema version 1"), "{reason}");
+            }
+            other => panic!("expected a version error, got {other:?}"),
+        }
+        fs::remove_file(&path).unwrap();
     }
 }

@@ -16,12 +16,17 @@
 //!   ([`PowerGrid::solve_delta`](psnt_pdn::grid::PowerGrid::solve_delta)),
 //!   with a sanctioned [`Actuation`](psnt_control::Actuation) door for
 //!   closed-loop control;
-//! * [`campaign`] — [`NocWorkload`]: the batch entry points, now thin
-//!   drivers over the stepper (bit-identical to the old fused loop) →
-//!   in-memory or streamed multi-site scan campaigns;
+//! * [`campaign`] — [`NocWorkload`]: the batch entry points, which
+//!   sample site rails every cycle (bit-identical to the old fused
+//!   loop) → in-memory or streamed multi-site scan campaigns;
 //! * [`mitigated`] — [`NocWorkload::run_mitigated`], the closed loop:
 //!   per-cycle thermometer sensing → delayed codes → a
 //!   [`Mitigator`](psnt_control::Mitigator) actuating the next cycle.
+//!
+//! Both kinds of run are consumers of one supervised cycle loop (the
+//! crate-private `supervised` driver: cancellation, budgets, cadence
+//! and on-interrupt checkpoints, resume), so supervision and
+//! checkpointing behave the same on every entry point.
 //!
 //! # Example
 //!
@@ -46,6 +51,7 @@ pub mod error;
 pub mod mitigated;
 pub mod noc;
 pub mod stepper;
+mod supervised;
 pub mod traffic;
 
 pub use campaign::{

@@ -21,12 +21,14 @@ use psnt_cells::units::Voltage;
 use psnt_control::{Actuation, ControlFrame, DelayLine, Mitigator, SiteReading};
 use psnt_core::SensorSystem;
 use psnt_ctx::RunCtx;
+use psnt_obs::{MetricsRegistry, Observer, Span};
 use serde::{Deserialize, Serialize};
 
-use crate::campaign::{NocWorkload, NoiseProfile};
+use crate::campaign::{NocWorkload, NoiseProfile, WindowStats};
 use crate::checkpoint::{CheckpointPolicy, MitigatedCheckpoint, CHECKPOINT_VERSION};
 use crate::error::WorkloadError;
 use crate::stepper::CycleStepper;
+use crate::supervised::{invalid_resume, CycleConsumer};
 
 /// Millivolt bucket edges of the `control.droop_depth_mv` histogram.
 const DROOP_BUCKETS_MV: [f64; 6] = [10.0, 20.0, 40.0, 60.0, 80.0, 100.0];
@@ -151,280 +153,225 @@ impl NocWorkload {
     pub fn run_mitigated_checkpointed(
         &self,
         ctx: &mut RunCtx<'_>,
-        mut mitigator: Option<&mut dyn Mitigator>,
+        mitigator: Option<&mut dyn Mitigator>,
         latency: usize,
         ckpt_policy: &CheckpointPolicy,
         resume: Option<&MitigatedCheckpoint>,
     ) -> Result<MitigatedNocResult, WorkloadError> {
         let cfg = self.config();
         let tiles = self.mesh().tiles();
-        let dt = cfg.cycle_time;
-        let cycles = cfg.cycles;
-        let policy = mitigator
-            .as_ref()
-            .map_or("open-loop", |m| m.name())
-            .to_string();
-        let sensor = SensorSystem::new(cfg.sensor.clone())?;
         let grid = self.campaign().floorplan().grid();
-        let n = grid.tiles();
-        let v_nom = grid.v_pad().volts();
-
         // Site attribution: floorplan sites address grid nodes; the
         // controller reasons in power domains (mesh tiles).
-        let mut node_domain = vec![0usize; n];
+        let mut node_domain = vec![0usize; grid.tiles()];
         for t in 0..tiles {
             for &nd in self.block_nodes(t) {
                 node_domain[nd] = t;
             }
         }
-        let site_nodes: Vec<usize> = self
-            .campaign()
-            .floorplan()
-            .sites()
-            .iter()
-            .map(|s| s.tile)
-            .collect();
-        let panicking: Vec<usize> = ctx
-            .fault_plan()
-            .map(|p| p.panicking_sites())
-            .unwrap_or_default();
-        let drop_cycle = cycles / 2;
+        let policy = mitigator.as_ref().map_or("open-loop", |m| m.name());
+        let mut control = ControlLoop {
+            workload: self,
+            out: MitigatedNocResult {
+                policy: policy.to_string(),
+                latency,
+                profile: NoiseProfile {
+                    v_nom: grid.v_pad().volts(),
+                    windows: Vec::new(),
+                    flits: 0,
+                },
+                droop_trace: Vec::with_capacity(cfg.cycles),
+                actuation_trace: Vec::with_capacity(cfg.cycles),
+                worst_droop: 0.0,
+                worst_droop_cycle: 0,
+                engaged_cycles: 0,
+                degraded_readings: 0,
+                deferred_peak: 0,
+            },
+            mitigator,
+            sensor: SensorSystem::new(cfg.sensor.clone())?,
+            site_nodes: self.site_nodes(),
+            node_domain,
+            panicking: ctx
+                .fault_plan()
+                .map(|p| p.panicking_sites())
+                .unwrap_or_default(),
+            delay: DelayLine::new(latency),
+            act: Actuation::neutral(tiles),
+        };
+        let (stepper, stats) = self.drive(ctx, &mut control, ckpt_policy, resume)?;
+        let mut out = control.out;
+        out.profile.windows = stats;
+        out.profile.flits = stepper.planned_flits();
+        Ok(out)
+    }
+}
 
-        let mut stepper = CycleStepper::new(self, ctx)?;
-        if let Some(obs) = ctx.observer() {
-            obs.metrics
-                .counter_add("workload.flits", stepper.planned_flits());
+/// The closed loop's [`CycleConsumer`]: per-cycle droop and actuation
+/// traces, then sense frame → [`DelayLine`] → [`Mitigator`] → the next
+/// cycle's actuation.
+struct ControlLoop<'w, 'm> {
+    workload: &'w NocWorkload,
+    /// The result so far; its profile is filled in when the run ends.
+    out: MitigatedNocResult,
+    mitigator: Option<&'m mut dyn Mitigator>,
+    sensor: SensorSystem,
+    /// The grid node each site senses, in floorplan order.
+    site_nodes: Vec<usize>,
+    /// The power domain (mesh tile) of every grid node.
+    node_domain: Vec<usize>,
+    /// Sites whose reading a `SitePanic` fault drops for one frame.
+    panicking: Vec<usize>,
+    delay: DelayLine,
+    act: Actuation,
+}
+
+impl CycleConsumer for ControlLoop<'_, '_> {
+    type Checkpoint = MitigatedCheckpoint;
+
+    fn begin_span(&self, obs: &mut Observer) -> Span {
+        let cfg = self.workload.config();
+        obs.begin_span("control_loop")
+            .attr("policy", &self.out.policy.as_str())
+            .attr("latency", &(self.out.latency as u64))
+            .attr("cycles", &(cfg.cycles as u64))
+            .sim_interval_ps(0.0, (cfg.cycle_time * cfg.cycles as f64).picoseconds())
+    }
+
+    fn resume(&mut self, ckpt: &MitigatedCheckpoint, done: usize) -> Result<(), WorkloadError> {
+        let out = &mut self.out;
+        if ckpt.policy != out.policy {
+            return Err(invalid_resume(format!(
+                "checkpoint ran policy {:?}, this run wires {:?}",
+                ckpt.policy, out.policy
+            )));
         }
-        let mut span = ctx.observer().map(|o| {
-            o.begin_span("control_loop")
-                .attr("policy", &policy.as_str())
-                .attr("latency", &(latency as u64))
-                .attr("cycles", &(cycles as u64))
-                .sim_interval_ps(0.0, (dt * cycles as f64).picoseconds())
+        if ckpt.droop_trace.len() != done || ckpt.actuation_trace.len() != done {
+            return Err(invalid_resume(format!(
+                "traces cover {} cycles, cycle {done} expects {done}",
+                ckpt.droop_trace.len()
+            )));
+        }
+        if let Some(state) = &ckpt.mitigator_state {
+            let Some(m) = self.mitigator.as_deref_mut() else {
+                return Err(invalid_resume(
+                    "checkpoint carries controller state but no mitigator is wired".into(),
+                ));
+            };
+            if !m.restore_state(state) {
+                return Err(invalid_resume(format!(
+                    "controller {:?} refused its state snapshot",
+                    out.policy
+                )));
+            }
+        }
+        self.delay = DelayLine::with_in_flight(out.latency, ckpt.in_flight.clone())?;
+        self.act = ckpt.act.clone();
+        out.droop_trace.clone_from(&ckpt.droop_trace);
+        out.actuation_trace.clone_from(&ckpt.actuation_trace);
+        out.worst_droop = ckpt.worst_droop;
+        out.worst_droop_cycle = ckpt.worst_droop_cycle;
+        out.engaged_cycles = ckpt.engaged_cycles;
+        out.degraded_readings = ckpt.degraded_readings;
+        out.deferred_peak = ckpt.deferred_peak;
+        Ok(())
+    }
+
+    fn consume(&mut self, c: usize, stepper: &mut CycleStepper<'_>) -> Result<(), WorkloadError> {
+        let tiles = self.workload.mesh().tiles();
+        let out = &mut self.out;
+        let droop = out.profile.v_nom - stepper.hotspot().1;
+        if droop > out.worst_droop {
+            out.worst_droop = droop;
+            out.worst_droop_cycle = c;
+        }
+        out.droop_trace.push(droop);
+        out.deferred_peak = out.deferred_peak.max(stepper.deferred_backlog());
+        let a = stepper.actuation();
+        if !a.is_neutral() {
+            out.engaged_cycles += 1;
+        }
+        out.actuation_trace.push(ActuationSample {
+            cycle: c,
+            stretched: (0..tiles).filter(|&t| a.stretch(t) < 1.0).count(),
+            throttled: (0..tiles).filter(|&t| a.throttled(t)).count(),
+            boosted: (0..tiles).filter(|&t| a.boost(t) > 0.0).count(),
         });
 
-        let mut delay = DelayLine::new(latency);
-        let mut act = Actuation::neutral(tiles);
-        let mut stats = self.window_stats_shell();
-        let mut droop_trace = Vec::with_capacity(cycles);
-        let mut actuation_trace = Vec::with_capacity(cycles);
-        let mut worst_droop = 0.0f64;
-        let mut worst_droop_cycle = 0usize;
-        let mut engaged_cycles = 0u64;
-        let mut degraded_readings = 0u64;
-        let mut deferred_peak = 0usize;
-
-        let me = cfg.measure_every;
-        let windows_n = self.windows();
-        let mut start = 0usize;
-        if let Some(ckpt) = resume {
-            let invalid = |reason: String| WorkloadError::InvalidConfig {
-                name: "resume",
-                reason,
+        // Sense frame → delay line → mitigator → next cycle's
+        // actuation. Sensing is per-site and instantaneous; a panicked
+        // site degrades to `None` for its one faulted frame (cycle
+        // `cycles / 2`) instead of aborting the loop.
+        let Some(m) = self.mitigator.as_deref_mut() else {
+            return Ok(());
+        };
+        let at = self.workload.config().cycle_time * (c as f64 + 0.5);
+        let drop_cycle = self.workload.config().cycles / 2;
+        let mut readings = Vec::with_capacity(self.site_nodes.len());
+        for (k, &nd) in self.site_nodes.iter().enumerate() {
+            let level = if c == drop_cycle && self.panicking.contains(&k) {
+                out.degraded_readings += 1;
+                None
+            } else {
+                let vdd = Voltage::from_v(stepper.voltages()[nd]);
+                Some(
+                    self.sensor
+                        .measure_value(vdd, Voltage::from_v(0.0), at)?
+                        .hs_word
+                        .level,
+                )
             };
-            if ckpt.version != CHECKPOINT_VERSION {
-                return Err(invalid(format!(
-                    "checkpoint schema version {}, this build reads {CHECKPOINT_VERSION}",
-                    ckpt.version
-                )));
-            }
-            if ckpt.seed != ctx.seed() {
-                return Err(invalid(format!(
-                    "checkpoint was captured under seed {}, this run uses {}",
-                    ckpt.seed,
-                    ctx.seed()
-                )));
-            }
-            if ckpt.policy != policy {
-                return Err(invalid(format!(
-                    "checkpoint ran policy {:?}, this run wires {policy:?}",
-                    ckpt.policy
-                )));
-            }
-            stepper.restore(&ckpt.stepper)?;
-            let done = stepper.cycle();
-            let touched = done.div_ceil(me).min(windows_n);
-            if ckpt.stats_done.len() != touched
-                || ckpt.droop_trace.len() != done
-                || ckpt.actuation_trace.len() != done
-            {
-                return Err(invalid(format!(
-                    "traces cover {} windows / {} cycles, cycle {done} expects {touched} / {done}",
-                    ckpt.stats_done.len(),
-                    ckpt.droop_trace.len()
-                )));
-            }
-            stats[..touched].clone_from_slice(&ckpt.stats_done);
-            droop_trace.extend_from_slice(&ckpt.droop_trace);
-            actuation_trace.extend_from_slice(&ckpt.actuation_trace);
-            worst_droop = ckpt.worst_droop;
-            worst_droop_cycle = ckpt.worst_droop_cycle;
-            engaged_cycles = ckpt.engaged_cycles;
-            degraded_readings = ckpt.degraded_readings;
-            deferred_peak = ckpt.deferred_peak;
-            delay = DelayLine::with_in_flight(latency, ckpt.in_flight.clone())?;
-            act = ckpt.act.clone();
-            if let Some(state) = &ckpt.mitigator_state {
-                let Some(m) = mitigator.as_deref_mut() else {
-                    return Err(invalid(
-                        "checkpoint carries controller state but no mitigator is wired".into(),
-                    ));
-                };
-                if !m.restore_state(state) {
-                    return Err(invalid(format!(
-                        "controller {policy:?} refused its state snapshot"
-                    )));
-                }
-            }
-            start = done;
-        }
-
-        let sup = ctx.supervisor().clone();
-        let cancel_at = ctx.fault_plan().and_then(|p| p.cancel_at_cycle());
-        let trip_deadline_at = ctx
-            .fault_plan()
-            .is_some_and(|p| p.deadline_trip())
-            .then_some(cycles / 2);
-        let seed = ctx.seed();
-        let cadence = ckpt_policy
-            .every
-            .or_else(|| sup.budget().checkpoint_cadence());
-
-        for c in start..cycles {
-            if cancel_at == Some(c as u64) {
-                sup.token().cancel();
-            }
-            if trip_deadline_at == Some(c) {
-                sup.force_expire();
-            }
-            let want_cadence_snap = cadence
-                .zip(ckpt_policy.path.as_deref())
-                .is_some_and(|(every, _)| c > start && (c as u64).is_multiple_of(every));
-            let tripped = sup.check().err();
-            if tripped.is_some() || want_cadence_snap {
-                if let Some(path) = ckpt_policy.path.as_deref() {
-                    let done = stepper.cycle();
-                    let touched = done.div_ceil(me).min(windows_n);
-                    MitigatedCheckpoint {
-                        version: CHECKPOINT_VERSION,
-                        seed,
-                        policy: policy.clone(),
-                        stepper: stepper.snapshot(),
-                        stats_done: stats[..touched].to_vec(),
-                        droop_trace: droop_trace.clone(),
-                        actuation_trace: actuation_trace.clone(),
-                        worst_droop,
-                        worst_droop_cycle,
-                        engaged_cycles,
-                        degraded_readings,
-                        deferred_peak,
-                        in_flight: delay.in_flight().cloned().collect(),
-                        act: act.clone(),
-                        mitigator_state: mitigator.as_deref().and_then(|m| m.state_snapshot()),
-                    }
-                    .save(path)?;
-                }
-                if let Some(reason) = tripped {
-                    if let (Some(obs), Some(sp)) = (ctx.observer(), span.take()) {
-                        obs.end_span(sp);
-                    }
-                    return Err(WorkloadError::Interrupted(reason));
-                }
-            }
-            sup.charge_events(1);
-            stepper.step()?;
-            self.accumulate_window(&mut stats, c, &stepper, n);
-
-            let droop = v_nom - stepper.hotspot().1;
-            if droop > worst_droop {
-                worst_droop = droop;
-                worst_droop_cycle = c;
-            }
-            droop_trace.push(droop);
-            deferred_peak = deferred_peak.max(stepper.deferred_backlog());
-            let a = stepper.actuation();
-            if !a.is_neutral() {
-                engaged_cycles += 1;
-            }
-            actuation_trace.push(ActuationSample {
-                cycle: c,
-                stretched: (0..tiles).filter(|&t| a.stretch(t) < 1.0).count(),
-                throttled: (0..tiles).filter(|&t| a.throttled(t)).count(),
-                boosted: (0..tiles).filter(|&t| a.boost(t) > 0.0).count(),
+            readings.push(SiteReading {
+                domain: self.node_domain[nd],
+                level,
             });
-
-            // Sense frame → delay line → mitigator → next cycle's
-            // actuation. Sensing is per-site and instantaneous; a
-            // panicked site degrades to `None` for its one faulted
-            // frame instead of aborting the loop.
-            if let Some(m) = mitigator.as_deref_mut() {
-                let at = dt * (c as f64 + 0.5);
-                let mut readings = Vec::with_capacity(site_nodes.len());
-                for (k, &nd) in site_nodes.iter().enumerate() {
-                    let level = if c == drop_cycle && panicking.contains(&k) {
-                        degraded_readings += 1;
-                        None
-                    } else {
-                        let vdd = Voltage::from_v(stepper.voltages()[nd]);
-                        Some(
-                            sensor
-                                .measure_value(vdd, Voltage::from_v(0.0), at)?
-                                .hs_word
-                                .level,
-                        )
-                    };
-                    readings.push(SiteReading {
-                        domain: node_domain[nd],
-                        level,
-                    });
-                }
-                let frame = ControlFrame {
-                    cycle: c as u64,
-                    readings,
-                };
-                if let Some(observed) = delay.push(frame) {
-                    m.observe(&observed, &mut act);
-                    stepper.apply(&act)?;
-                }
-            }
         }
-
-        if let Some(obs) = ctx.observer() {
-            obs.metrics
-                .counter_add("workload.delta_solves", stepper.delta_solves());
-            obs.metrics
-                .counter_add("control.engaged_cycles", engaged_cycles);
-            obs.metrics
-                .counter_add("control.degraded_readings", degraded_readings);
-            obs.metrics
-                .gauge_set_max("control.deferred_peak", deferred_peak as f64);
-            let h = obs
-                .metrics
-                .histogram("control.droop_depth_mv", &DROOP_BUCKETS_MV);
-            for &d in &droop_trace {
-                obs.metrics.record(h, d * 1000.0);
-            }
+        let frame = ControlFrame {
+            cycle: c as u64,
+            readings,
+        };
+        if let Some(observed) = self.delay.push(frame) {
+            m.observe(&observed, &mut self.act);
+            stepper.apply(&self.act)?;
         }
-        if let (Some(obs), Some(sp)) = (ctx.observer(), span.take()) {
-            obs.end_span(sp);
-        }
+        Ok(())
+    }
 
-        Ok(MitigatedNocResult {
-            policy,
-            latency,
-            profile: NoiseProfile {
-                v_nom,
-                windows: stats,
-                flits: stepper.planned_flits(),
-            },
-            droop_trace,
-            actuation_trace,
-            worst_droop,
-            worst_droop_cycle,
-            engaged_cycles,
-            degraded_readings,
-            deferred_peak,
-        })
+    fn checkpoint(
+        &self,
+        seed: u64,
+        stepper: &CycleStepper<'_>,
+        stats_done: Vec<WindowStats>,
+    ) -> MitigatedCheckpoint {
+        let out = &self.out;
+        MitigatedCheckpoint {
+            version: CHECKPOINT_VERSION,
+            seed,
+            policy: out.policy.clone(),
+            stepper: stepper.snapshot(),
+            stats_done,
+            droop_trace: out.droop_trace.clone(),
+            actuation_trace: out.actuation_trace.clone(),
+            worst_droop: out.worst_droop,
+            worst_droop_cycle: out.worst_droop_cycle,
+            engaged_cycles: out.engaged_cycles,
+            degraded_readings: out.degraded_readings,
+            deferred_peak: out.deferred_peak,
+            in_flight: self.delay.in_flight().cloned().collect(),
+            act: self.act.clone(),
+            mitigator_state: self.mitigator.as_deref().and_then(|m| m.state_snapshot()),
+        }
+    }
+
+    fn record(&self, metrics: &mut MetricsRegistry) {
+        let out = &self.out;
+        metrics.counter_add("control.engaged_cycles", out.engaged_cycles);
+        metrics.counter_add("control.degraded_readings", out.degraded_readings);
+        metrics.gauge_set_max("control.deferred_peak", out.deferred_peak as f64);
+        let h = metrics.histogram("control.droop_depth_mv", &DROOP_BUCKETS_MV);
+        for &d in &out.droop_trace {
+            metrics.record(h, d * 1000.0);
+        }
     }
 }
 

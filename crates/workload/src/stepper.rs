@@ -7,8 +7,9 @@
 //! clock-stretch into node loads) → **grid state** (one incremental
 //! [`PowerGrid::solve_delta`](psnt_pdn::grid::PowerGrid::solve_delta)
 //! per changed cycle, plus the supply-boost overlay). The sense-frame
-//! stage sits in the drivers: the batch paths sample node voltages into
-//! rail waveforms, the mitigated driver senses thermometer codes with
+//! stage sits in the consumers of the one supervised driver: the batch
+//! paths sample node voltages into rail waveforms, the closed loop
+//! senses thermometer codes with
 //! [`SensorSystem::measure_value`](psnt_core::SensorSystem::measure_value)
 //! every cycle.
 //!
@@ -63,6 +64,7 @@ struct Flight {
 /// from the same floating-point state it was interrupted in.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StepperSnapshot {
+    config_hash: u64,
     cursors: Vec<usize>,
     deferred: Vec<Vec<u32>>,
     flights: Vec<(Vec<usize>, usize)>,
@@ -385,6 +387,7 @@ impl<'w> CycleStepper<'w> {
     /// workload and seed** (see [`CycleStepper::restore`]).
     pub fn snapshot(&self) -> StepperSnapshot {
         StepperSnapshot {
+            config_hash: psnt_obs::manifest::config_hash(self.workload.config()),
             cursors: self.cursors.clone(),
             deferred: self
                 .deferred
@@ -418,14 +421,24 @@ impl<'w> CycleStepper<'w> {
     /// # Errors
     ///
     /// Returns [`WorkloadError::InvalidConfig`] when the snapshot does
-    /// not match this stepper's mesh geometry or traffic plan (wrong
-    /// seed, config, or a corrupted snapshot).
+    /// not match this stepper's workload config, mesh geometry or
+    /// traffic plan (wrong seed or config), or is structurally corrupt:
+    /// a route or deferred destination outside the mesh, a grid
+    /// solution of the wrong size, or non-finite rails.
     pub fn restore(&mut self, snap: &StepperSnapshot) -> Result<(), WorkloadError> {
         let tiles = self.workload.mesh().tiles();
+        let nodes = self.workload.campaign().floorplan().grid().tiles();
         let invalid = |reason: String| WorkloadError::InvalidConfig {
             name: "snapshot",
             reason,
         };
+        let config_hash = psnt_obs::manifest::config_hash(self.workload.config());
+        if snap.config_hash != config_hash {
+            return Err(invalid(format!(
+                "snapshot was captured under config {:016x}, this run is {config_hash:016x}",
+                snap.config_hash
+            )));
+        }
         if snap.cursors.len() != tiles
             || snap.deferred.len() != tiles
             || snap.counts.len() != tiles
@@ -459,6 +472,23 @@ impl<'w> CycleStepper<'w> {
         }
         if snap.flights.iter().any(|(route, hop)| *hop >= route.len()) {
             return Err(invalid("a flight's hop is past its route".into()));
+        }
+        let routes = snap.flights.iter().flat_map(|(route, _)| route);
+        let deferred = snap.deferred.iter().flatten().map(|&d| d as usize);
+        if routes.copied().chain(deferred).any(|t| t >= tiles) {
+            return Err(invalid(format!(
+                "a flight or deferred injection names a tile outside the {tiles}-tile mesh"
+            )));
+        }
+        let rails = snap.sol.iter().flat_map(|s| [s.voltages(), s.loads()]);
+        let boosted = snap.boost_active.then_some(&snap.boosted[..]);
+        if rails
+            .chain(boosted)
+            .any(|v| v.len() != nodes || v.iter().any(|x| !x.is_finite()))
+        {
+            return Err(invalid(format!(
+                "grid state must be {nodes} finite values per rail"
+            )));
         }
         self.cursors.copy_from_slice(&snap.cursors);
         self.deferred = snap
@@ -690,6 +720,95 @@ mod tests {
         let big = NocWorkload::new(cfg).unwrap();
         let mut wrong = CycleStepper::new(&big, &mut RunCtx::serial().with_seed(41)).unwrap();
         let err = wrong.restore(&snap).unwrap_err();
+        assert!(matches!(
+            err,
+            WorkloadError::InvalidConfig {
+                name: "snapshot",
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn restore_rejects_corrupt_snapshots_without_panicking() {
+        let w = stepper_workload();
+        let mut s = CycleStepper::new(&w, &mut RunCtx::serial().with_seed(41)).unwrap();
+        for _ in 0..10 {
+            s.step().unwrap();
+        }
+        let good = s.snapshot();
+        // A solution of the right size whose rails went non-finite.
+        fn poisoned(w: &NocWorkload, bad: f64) -> GridSolution {
+            let grid = w.campaign().floorplan().grid();
+            let mut loads = vec![0.0; grid.tiles()];
+            loads[3] = bad;
+            grid.solve_sparse(&loads).unwrap()
+        }
+        type Corruption = fn(&mut StepperSnapshot, &NocWorkload);
+        let corruptions: [(&str, Corruption); 6] = [
+            ("route past the mesh", |snap, w| {
+                snap.flights.push((vec![0, w.mesh().tiles()], 0))
+            }),
+            ("deferred destination past the mesh", |snap, w| {
+                snap.deferred[0].push(w.mesh().tiles() as u32)
+            }),
+            ("solution of another grid", |snap, _| {
+                let other = psnt_pdn::grid::PowerGrid::corner_fed(
+                    2,
+                    psnt_cells::units::Voltage::from_v(1.05),
+                    psnt_cells::units::Resistance::from_milliohms(60.0),
+                    psnt_cells::units::Resistance::from_milliohms(20.0),
+                )
+                .unwrap();
+                snap.sol = Some(other.solve_sparse(&[0.0; 4]).unwrap());
+            }),
+            ("NaN rails", |snap, w| {
+                snap.sol = Some(poisoned(w, f64::NAN))
+            }),
+            ("infinite rails", |snap, w| {
+                snap.sol = Some(poisoned(w, f64::INFINITY))
+            }),
+            ("short boost overlay", |snap, _| {
+                snap.boost_active = true;
+                snap.boosted = vec![1.0; 3];
+            }),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut snap = good.clone();
+            corrupt(&mut snap, &w);
+            let mut fresh = CycleStepper::new(&w, &mut RunCtx::serial().with_seed(41)).unwrap();
+            let err = fresh.restore(&snap).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    WorkloadError::InvalidConfig {
+                        name: "snapshot",
+                        ..
+                    }
+                ),
+                "{what}: {err:?}"
+            );
+            // The refused snapshot left the stepper stepping normally.
+            fresh.step().unwrap();
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_snapshot_from_another_config() {
+        // 3× the per-flit current: same seed and traffic, so the same
+        // planned flits — only the config fingerprint tells them apart.
+        let mut hot = NocWorkloadConfig::small_2x2();
+        hot.flit_current = hot.flit_current * 3.0;
+        let hot = NocWorkload::new(hot).unwrap();
+        let mut s = CycleStepper::new(&hot, &mut RunCtx::serial().with_seed(41)).unwrap();
+        for _ in 0..20 {
+            s.step().unwrap();
+        }
+        let snap = s.snapshot();
+        let w = stepper_workload();
+        let mut base = CycleStepper::new(&w, &mut RunCtx::serial().with_seed(41)).unwrap();
+        assert_eq!(base.planned_flits(), s.planned_flits());
+        let err = base.restore(&snap).unwrap_err();
         assert!(matches!(
             err,
             WorkloadError::InvalidConfig {

@@ -157,3 +157,44 @@ fn site_series_statistics_are_consistent() {
         assert!((summary.mean - site.mean_level()).abs() < 1e-9);
     }
 }
+
+/// An observed campaign's telemetry is worker-count independent: at
+/// jobs ∈ {1, 4} the event and span records are identical once the
+/// scheduling-dependent fields (wall times, worker track) are masked,
+/// and so are the results.
+#[test]
+fn observed_campaign_stream_is_job_independent() {
+    let fp = Floorplan::new(grid(3), Placement::EveryTile).unwrap();
+    let campaign = Campaign::new(fp, SensorConfig::default()).unwrap();
+    let mut loads = vec![Waveform::constant(0.05); 9];
+    loads[4] = Waveform::constant(0.6);
+    let run = |jobs: usize| {
+        let mut obs = Observer::ring(1024);
+        let mut ctx = RunCtx::new(Engine::new(jobs)).with_observer(&mut obs);
+        let result = campaign
+            .run_dual(
+                &mut ctx,
+                &loads,
+                None,
+                Time::from_ns(10.0),
+                Time::from_ns(20.0),
+                3,
+            )
+            .unwrap();
+        drop(ctx);
+        obs.finish();
+        let records: Vec<String> = obs
+            .ring_lines()
+            .unwrap()
+            .iter()
+            .filter(|l| !l.contains(r#""type":"metrics""#))
+            .map(|l| psn_thermometer::obs::mask_wall_times(l))
+            .collect();
+        (result, records)
+    };
+    let (serial, serial_stream) = run(1);
+    let (parallel, parallel_stream) = run(4);
+    assert_eq!(serial, parallel);
+    assert!(serial_stream.len() > 9, "sites traced: {serial_stream:?}");
+    assert_eq!(serial_stream, parallel_stream);
+}
