@@ -286,8 +286,8 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| grid.solve_delta(&prior, &changed).unwrap())
     });
 
-    // Quasi-static transient over 20 steps; each step warm-starts from
-    // the previous instant's solution.
+    // Quasi-static transient over 20 steps; each step is one direct
+    // solve through the grid's cached factor.
     c.bench_function("grid_transient_4x4_20steps", |b| {
         let grid = PowerGrid::corner_fed(
             4,

@@ -10,14 +10,13 @@
 //! from; rerunning with `--resume` continues it and renders a report
 //! bit-identical to one that was never interrupted.
 //!
-//! `droop-mitigation` is a sweep of several mitigated runs. Its
-//! checkpoint is the in-flight run's [`MitigatedCheckpoint`] plus a
-//! `<path>.meta` sidecar recording which run of the sweep it was; on
-//! resume the sweep re-runs the completed arms (each re-arms the seed,
-//! so they reproduce bit-identically), restores the interrupted arm
-//! from the snapshot, and finishes the rest normally.
+//! `droop-mitigation` is a sweep of distinct closed-loop arms. Its
+//! checkpoint is the in-flight arm's [`MitigatedCheckpoint`], whose
+//! `(policy, latency)` names the arm; on resume the sweep re-runs the
+//! completed arms (each re-arms the seed, so they reproduce
+//! bit-identically), restores the interrupted arm from the snapshot,
+//! and finishes the rest normally.
 
-use std::fs;
 use std::path::{Path, PathBuf};
 
 use psnt_analysis::report::{fmt_v, Table};
@@ -85,43 +84,22 @@ impl CheckpointedRun {
     }
 }
 
-/// The `.meta` sidecar of a `droop-mitigation` checkpoint: records
-/// which run of the sweep the snapshot belongs to.
-fn meta_path(ckpt: &Path) -> PathBuf {
-    let mut s = ckpt.as_os_str().to_owned();
-    s.push(".meta");
-    PathBuf::from(s)
-}
-
-fn meta_err(path: &Path, reason: impl std::fmt::Display) -> WorkloadError {
-    WorkloadError::Checkpoint {
-        path: path.display().to_string(),
-        reason: reason.to_string(),
-    }
-}
-
 /// The report of a run a cooperative interrupt stopped: `head` (why),
-/// then where its checkpoint (and, with `sidecar`, the `.meta` sidecar)
-/// is and how to resume it from `repro --<experiment>`.
+/// then where its checkpoint is and how to resume it from
+/// `repro --<experiment>`.
 fn interrupted(
     mut head: String,
     opts: &CheckpointOptions,
     experiment: &str,
     cycles: usize,
     cycle_of: impl Fn(&Path) -> Option<usize>,
-    sidecar: bool,
 ) -> CheckpointedRun {
     match opts.checkpoint.as_deref() {
         Some(path) if path.exists() => {
             head.push_str(&format!(
-                "checkpoint: {} (cycle {} of {cycles}){}\n",
+                "checkpoint: {} (cycle {} of {cycles})\n",
                 path.display(),
                 cycle_of(path).map_or_else(|| "?".into(), |c| c.to_string()),
-                if sidecar {
-                    format!(" + sidecar {}", meta_path(path).display())
-                } else {
-                    String::new()
-                },
             ));
             head.push_str(&format!(
                 "resume with: repro --{experiment} --resume {}\n",
@@ -191,7 +169,6 @@ pub fn noc_campaign_checkpointed(
                 "noc-campaign",
                 workload.config().cycles,
                 |path| WorkloadCheckpoint::load(path).map(|c| c.cycle()).ok(),
-                false,
             ));
         }
         Err(e) => return Err(e),
@@ -247,20 +224,31 @@ pub fn noc_campaign_checkpointed(
     Ok(CheckpointedRun::completed(s))
 }
 
-/// The `droop-mitigation` sweep order: `(policy name, code latency)`
-/// per run index. Index 0 is the open-loop base, 1–4 the four policy
-/// arms at latency 1, 5–13 the supply-boost latency sweep (0–8).
-const DROOP_RUNS: usize = 14;
+/// The `droop-mitigation` sweep's distinct `(policy, code latency)`
+/// arms, in run order: the open-loop base, the four policies at
+/// latency 1, then the supply-boost latency sweep 0–8 — whose latency-1
+/// point is arm 3, run once and reported in both tables.
+const DROOP_ARMS: [(&str, usize); 13] = [
+    ("open-loop", 0),
+    ("threshold-stretch", 1),
+    ("threshold-throttle", 1),
+    ("supply-boost", 1),
+    ("pi-boost", 1),
+    ("supply-boost", 0),
+    ("supply-boost", 2),
+    ("supply-boost", 3),
+    ("supply-boost", 4),
+    ("supply-boost", 5),
+    ("supply-boost", 6),
+    ("supply-boost", 7),
+    ("supply-boost", 8),
+];
 
-fn droop_run_shape(k: usize) -> (&'static str, usize) {
-    match k {
-        0 => ("open-loop", 0),
-        1 => ("threshold-stretch", 1),
-        2 => ("threshold-throttle", 1),
-        3 => ("supply-boost", 1),
-        4 => ("pi-boost", 1),
-        k => ("supply-boost", k - 5),
-    }
+/// The sweep index of the `(policy, latency)` arm, if the sweep runs it.
+fn droop_arm(policy: &str, latency: usize) -> Option<usize> {
+    DROOP_ARMS
+        .iter()
+        .position(|&(p, l)| p == policy && l == latency)
 }
 
 /// XP-DROOP under a checkpoint policy. See
@@ -269,9 +257,12 @@ fn droop_run_shape(k: usize) -> (&'static str, usize) {
 ///
 /// # Errors
 ///
-/// [`WorkloadError`] on configuration or I/O failure (including a
-/// missing or mismatched `.meta` sidecar on resume); a cooperative
-/// interrupt returns an interrupted [`CheckpointedRun`] instead.
+/// [`WorkloadError`] on configuration or I/O failure, including a
+/// resume checkpoint that is not a closed-loop one
+/// ([`WorkloadError::Checkpoint`]) or whose `(policy, latency)` is not
+/// an arm of the sweep ([`WorkloadError::InvalidConfig`]); a
+/// cooperative interrupt returns an interrupted [`CheckpointedRun`]
+/// instead.
 pub fn droop_mitigation_checkpointed(
     ctx: &mut RunCtx<'_>,
     opts: &CheckpointOptions,
@@ -279,24 +270,15 @@ pub fn droop_mitigation_checkpointed(
     let resume: Option<(usize, MitigatedCheckpoint)> = match opts.resume.as_deref() {
         Some(path) => {
             let ckpt = MitigatedCheckpoint::load(path)?;
-            let meta = meta_path(path);
-            let text = fs::read_to_string(&meta)
-                .map_err(|e| meta_err(&meta, format!("cannot read sweep sidecar: {e}")))?;
-            let k = text
-                .strip_prefix("droop-mitigation ")
-                .and_then(|rest| rest.trim().parse::<usize>().ok())
-                .filter(|&k| k < DROOP_RUNS)
-                .ok_or_else(|| meta_err(&meta, "not a droop-mitigation sweep sidecar"))?;
-            let (policy, _) = droop_run_shape(k);
-            if ckpt.policy != policy {
-                return Err(meta_err(
-                    &meta,
-                    format!(
-                        "sidecar names run {k} ({policy}) but the checkpoint holds {:?}",
-                        ckpt.policy
+            let k = droop_arm(&ckpt.policy, ckpt.latency).ok_or_else(|| {
+                WorkloadError::InvalidConfig {
+                    name: "resume",
+                    reason: format!(
+                        "checkpoint ran {:?} at latency {} cy, not an arm of the droop-mitigation sweep",
+                        ckpt.policy, ckpt.latency
                     ),
-                ));
-            }
+                }
+            })?;
             Some((k, ckpt))
         }
         None => None,
@@ -318,31 +300,25 @@ pub fn droop_mitigation_checkpointed(
     let seed = 2009;
     let ckpt_policy = opts.policy();
 
-    let mut results: Vec<MitigatedNocResult> = Vec::with_capacity(DROOP_RUNS);
-    for k in 0..DROOP_RUNS {
+    let mut results: Vec<MitigatedNocResult> = Vec::with_capacity(DROOP_ARMS.len());
+    for (k, &(policy, latency)) in DROOP_ARMS.iter().enumerate() {
         // Every run re-arms the context at the same seed, so all
         // policies see bit-identical traffic — which is also what
         // makes re-running the pre-interrupt arms on resume exact.
         ctx.set_seed(seed);
-        if let Some(path) = opts.checkpoint.as_deref() {
-            // A stale sidecar must not pair with this run's cadence
-            // snapshots; it is rewritten only when an interrupt trips.
-            let _ = fs::remove_file(meta_path(path));
-        }
         let this_resume = match &resume {
             Some((idx, ckpt)) if *idx == k => Some(ckpt),
             _ => None,
         };
-        let (_, latency) = droop_run_shape(k);
-        let mut mitigator: Option<Box<dyn Mitigator>> = match k {
-            0 => None,
-            1 => Some(Box::new(
+        let mut mitigator: Option<Box<dyn Mitigator>> = match policy {
+            "open-loop" => None,
+            "threshold-stretch" => Some(Box::new(
                 ThresholdStretch::new(tiles, engage, release, 0.25)?.with_hold(hold),
             )),
-            2 => Some(Box::new(
+            "threshold-throttle" => Some(Box::new(
                 ThresholdThrottle::new(tiles, engage, release)?.with_hold(hold),
             )),
-            4 => Some(Box::new(PiBoost::new(tiles, release as f64, 0.02, 0.01)?)),
+            "pi-boost" => Some(Box::new(PiBoost::new(tiles, release as f64, 0.02, 0.01)?)),
             _ => Some(Box::new(
                 SupplyBoost::new(tiles, engage, release, Voltage::from_v(0.06))?.with_hold(hold),
             )),
@@ -357,22 +333,17 @@ pub fn droop_mitigation_checkpointed(
         match out {
             Ok(r) => results.push(r),
             Err(WorkloadError::Interrupted(reason)) => {
-                let (policy, latency) = droop_run_shape(k);
-                if let Some(path) = opts.checkpoint.as_deref().filter(|p| p.exists()) {
-                    fs::write(meta_path(path), format!("droop-mitigation {k}\n"))
-                        .map_err(|e| meta_err(&meta_path(path), e))?;
-                }
                 return Ok(interrupted(
                     format!(
                         "== XP-DROOP — INTERRUPTED ==\n{reason}\n\
-                         run {}/{DROOP_RUNS}: policy {policy}, latency {latency} cy\n",
-                        k + 1
+                         run {}/{}: policy {policy}, latency {latency} cy\n",
+                        k + 1,
+                        DROOP_ARMS.len()
                     ),
                     opts,
                     "droop-mitigation",
                     cfg.cycles,
                     |path| MitigatedCheckpoint::load(path).map(|c| c.cycle()).ok(),
-                    true,
                 ));
             }
             Err(e) => return Err(e),
@@ -384,8 +355,8 @@ pub fn droop_mitigation_checkpointed(
     )))
 }
 
-/// Renders the XP-DROOP tables from the sweep's 14 results, in the
-/// same shape the experiment has always printed.
+/// Renders the XP-DROOP tables from the results of the sweep's
+/// [`DROOP_ARMS`], in the same shape the experiment has always printed.
 fn render_droop_report(
     results: &[MitigatedNocResult],
     healthy: usize,
@@ -445,7 +416,8 @@ fn render_droop_report(
             "reduction",
         ],
     );
-    for (latency, out) in results[5..].iter().enumerate() {
+    for latency in 0..=8 {
+        let out = &results[droop_arm("supply-boost", latency).expect("swept latency")];
         lt.row([
             format!("{latency} cy"),
             format!("{:.1} mV", out.worst_droop * 1e3),

@@ -31,20 +31,23 @@ use crate::{Actuation, ControlError, ControlFrame, Mitigator, MAX_BOOST_V, MIN_S
 /// Implements the [`Mitigator`] checkpoint hooks for a controller that
 /// is `Serialize + Deserialize`: the snapshot is the whole controller
 /// (configuration and mutable state), so a restored controller resumes
-/// exactly where the captured one stopped.
+/// exactly where the captured one stopped. `$config` maps a controller
+/// to its configuration; a snapshot whose configuration differs from
+/// the wired controller's is refused, leaving the controller untouched.
 macro_rules! serde_state_hooks {
-    () => {
+    ($config:expr) => {
         fn state_snapshot(&self) -> Option<String> {
             Some(serde::json::to_string(self))
         }
 
         fn restore_state(&mut self, snapshot: &str) -> bool {
+            let config = $config;
             match serde::json::from_str::<Self>(snapshot) {
-                Ok(restored) => {
+                Ok(restored) if config(&restored) == config(self) => {
                     *self = restored;
                     true
                 }
-                Err(_) => false,
+                _ => false,
             }
         }
     };
@@ -76,6 +79,17 @@ struct Hysteresis {
 }
 
 impl Hysteresis {
+    /// The band, the dwell and the domain count — everything but the
+    /// per-domain state.
+    fn config(&self) -> (usize, usize, usize, usize) {
+        (
+            self.engage_below,
+            self.release_at,
+            self.hold,
+            self.engaged.len(),
+        )
+    }
+
     fn new(domains: usize, engage_below: usize, release_at: usize) -> Hysteresis {
         Hysteresis {
             engage_below,
@@ -171,7 +185,7 @@ impl Mitigator for ThresholdStretch {
         }
     }
 
-    serde_state_hooks!();
+    serde_state_hooks!(|c: &Self| (c.scale, c.hysteresis.config()));
 }
 
 /// Threshold-triggered load throttle: while engaged, a domain's new
@@ -223,7 +237,7 @@ impl Mitigator for ThresholdThrottle {
         }
     }
 
-    serde_state_hooks!();
+    serde_state_hooks!(|c: &Self| c.hysteresis.config());
 }
 
 /// Threshold-triggered supply boost: while engaged, the domain's rail
@@ -286,7 +300,7 @@ impl Mitigator for SupplyBoost {
         }
     }
 
-    serde_state_hooks!();
+    serde_state_hooks!(|c: &Self| (c.boost_v, c.hysteresis.config()));
 }
 
 /// A proportional-integral supply boost with anti-windup.
@@ -396,7 +410,7 @@ impl Mitigator for PiBoost {
         }
     }
 
-    serde_state_hooks!();
+    serde_state_hooks!(|c: &Self| (c.target_level, c.kp, c.ki, c.deadband, c.integral.len()));
 }
 
 #[cfg(test)]

@@ -230,8 +230,9 @@ pub trait Mitigator {
 
     /// Restores state captured by [`Mitigator::state_snapshot`] on an
     /// identically configured controller; returns `false` (the
-    /// default) when the payload is unsupported or unrecognized, in
-    /// which case the controller keeps its current state.
+    /// default) when the payload is unsupported, unrecognized or was
+    /// captured under another configuration, in which case the
+    /// controller keeps its current state.
     fn restore_state(&mut self, _snapshot: &str) -> bool {
         false
     }

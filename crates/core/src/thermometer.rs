@@ -515,10 +515,9 @@ impl ThermometerArray {
     }
 
     /// [`ThermometerArray::thresholds`] threaded through a [`RunCtx`]:
-    /// memo misses run all elements through one 64-lane lockstep solve
-    /// (bit-identical to the serial per-element sweep), and the call's
-    /// memo hit/miss deltas are folded into the observer's metrics as
-    /// the `thermometer.memo_hits` / `thermometer.memo_misses` counters.
+    /// the call's memo hit/miss deltas are folded into the observer's
+    /// metrics as the `thermometer.memo_hits` /
+    /// `thermometer.memo_misses` counters.
     ///
     /// # Errors
     ///
@@ -530,14 +529,7 @@ impl ThermometerArray {
         pvt: &Pvt,
     ) -> Result<Vec<Voltage>, SensorError> {
         let (hits_before, misses_before) = self.memo.stats();
-        let th = match self.memo.get(skew, pvt) {
-            Some(hit) => hit,
-            None => {
-                let th = self.solve_thresholds(skew, pvt)?;
-                self.memo.put(skew, pvt, &th);
-                th
-            }
-        };
+        let th = self.thresholds(skew, pvt)?;
         if let Some(obs) = ctx.observer() {
             let (hits, misses) = self.memo.stats();
             obs.metrics

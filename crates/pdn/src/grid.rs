@@ -7,20 +7,22 @@
 //! `rows × cols` resistive mesh fed from pad nodes, with a load current
 //! per tile; solving the nodal equations gives each tile's local supply.
 //!
-//! Two solvers share the grid:
+//! One production solver and one reference oracle share the grid:
 //!
-//! * [`PowerGrid::solve`] / [`PowerGrid::solve_from`] — Gauss–Seidel
-//!   relaxation with successive over-relaxation, entirely adequate for
-//!   the few-hundred-node grids the paper experiments use, with a
-//!   convergence guard returning [`PdnError::NoConvergence`] otherwise;
-//! * [`PowerGrid::solve_sparse`] / [`PowerGrid::solve_delta`] — a direct
-//!   path over a banded sparse Cholesky factorization of the (fixed)
-//!   conductance matrix ([`GridFactor`], factored **once per grid** and
-//!   cached), sized for chip-scale workload campaigns: a 40×40
-//!   (1,600-node) grid solves in microseconds per cycle, and
-//!   [`PowerGrid::solve_delta`] re-solves from a prior [`GridSolution`]
-//!   touching only the load entries that changed — O(changed loads)
-//!   forward-substitution work instead of a full relaxation sweep.
+//! * [`PowerGrid::solve_sparse`] / [`PowerGrid::solve_delta`] — the
+//!   production path, a direct solve over a banded sparse Cholesky
+//!   factorization of the (fixed) conductance matrix ([`GridFactor`],
+//!   factored **once per grid** and cached). A 40×40 (1,600-node) grid
+//!   solves in microseconds per cycle, and [`PowerGrid::solve_delta`]
+//!   re-solves from a prior [`GridSolution`] touching only the load
+//!   entries that changed — O(changed loads) forward-substitution
+//!   work. [`PowerGrid::quasi_static_transient`] and the workload
+//!   stepper both solve through this factor;
+//! * [`PowerGrid::solve`] — cold Gauss–Seidel relaxation with
+//!   successive over-relaxation and a convergence guard
+//!   ([`PdnError::NoConvergence`]). It has no production caller: it is
+//!   the independent reference the factor is tested against (the
+//!   sparse-vs-dense proptest) and benchmarked against.
 //!
 //! # Examples
 //!
@@ -411,11 +413,19 @@ impl PowerGrid {
         }
     }
 
-    /// The Gauss–Seidel/SOR sweep shared by [`PowerGrid::solve`] and
-    /// [`PowerGrid::solve_from`]: starts from `v0` (pad voltage
-    /// everywhere when `None`) and returns the solution together with
-    /// the iteration count, so tests can pin the warm-start advantage.
-    fn relax(&self, v0: Option<&[f64]>, loads: &[f64]) -> Result<(Vec<f64>, usize), PdnError> {
+    /// Solves the DC nodal equations for the given per-tile load currents
+    /// (amperes, row-major) by Gauss–Seidel/SOR relaxation from the pad
+    /// voltage, and returns per-tile voltages (volts).
+    ///
+    /// This is the reference oracle for [`PowerGrid::solve_sparse`]:
+    /// production paths solve through the factor instead.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PdnError::InvalidParameter`] when `loads.len()` does not
+    /// match the tile count and [`PdnError::NoConvergence`] if relaxation
+    /// stalls.
+    pub fn solve(&self, loads: &[f64]) -> Result<Vec<f64>, PdnError> {
         if loads.len() != self.tiles() {
             return Err(PdnError::InvalidParameter {
                 name: "loads",
@@ -428,25 +438,14 @@ impl PowerGrid {
         }
         let n = self.tiles();
         let vp = self.v_pad.volts();
-        let mut v = match v0 {
-            Some(prior) => {
-                if prior.len() != n {
-                    return Err(PdnError::InvalidParameter {
-                        name: "prior",
-                        reason: format!("expected {} tile voltages, got {}", n, prior.len()),
-                    });
-                }
-                prior.to_vec()
-            }
-            None => vec![vp; n],
-        };
+        let mut v = vec![vp; n];
         let GridCache { off, adj, is_pad } = self.grid_cache();
 
         const MAX_ITER: usize = 20_000;
         const TOL: f64 = 1e-12;
         const OMEGA: f64 = 1.6; // SOR factor for a 2-D Laplacian
 
-        for iter in 0..MAX_ITER {
+        for _ in 0..MAX_ITER {
             let mut max_delta: f64 = 0.0;
             for i in 0..n {
                 let mut g_sum = 0.0;
@@ -465,39 +464,13 @@ impl PowerGrid {
                 v[i] = relaxed;
             }
             if max_delta < TOL {
-                return Ok((v, iter + 1));
+                return Ok(v);
             }
         }
         Err(PdnError::NoConvergence {
             iterations: MAX_ITER,
             residual: 0.0,
         })
-    }
-
-    /// Solves the DC nodal equations for the given per-tile load currents
-    /// (amperes, row-major) and returns per-tile voltages (volts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError::InvalidParameter`] when `loads.len()` does not
-    /// match the tile count and [`PdnError::NoConvergence`] if relaxation
-    /// stalls.
-    pub fn solve(&self, loads: &[f64]) -> Result<Vec<f64>, PdnError> {
-        self.relax(None, loads).map(|(v, _)| v)
-    }
-
-    /// Like [`PowerGrid::solve`], but warm-started from a previous
-    /// solution — typically the neighbouring point of a sweep, whose
-    /// voltages are already close, so the relaxation converges in far
-    /// fewer iterations. The result satisfies the same `1e-12`
-    /// convergence tolerance as a cold [`PowerGrid::solve`].
-    ///
-    /// # Errors
-    ///
-    /// As [`PowerGrid::solve`], plus [`PdnError::InvalidParameter`] when
-    /// `prior.len()` does not match the tile count.
-    pub fn solve_from(&self, prior: &[f64], loads: &[f64]) -> Result<Vec<f64>, PdnError> {
-        self.relax(Some(prior), loads).map(|(v, _)| v)
     }
 
     /// Solves the DC nodal equations directly through the cached banded
@@ -519,23 +492,24 @@ impl PowerGrid {
                 reason: format!("expected {} tile currents, got {}", n, loads.len()),
             });
         }
-        let cache = self.grid_cache();
-        let vp = self.v_pad.volts();
-        let mut b: Vec<f64> = (0..n)
-            .map(|i| {
-                let pad = if cache.is_pad[i] {
-                    self.g_pad * vp
-                } else {
-                    0.0
-                };
-                pad - loads[i]
-            })
-            .collect();
+        let mut b = vec![0.0; n];
+        self.assemble_rhs(&mut b, |i| loads[i]);
         self.factor().solve_in_place(&mut b, 0);
         Ok(GridSolution {
             voltages: b,
             loads: loads.to_vec(),
         })
+    }
+
+    /// Writes the right-hand side of `K·v = b` into `b`: each pad
+    /// tile's package injection `g_pad·v_pad`, minus every tile's load
+    /// current `load(tile)`.
+    fn assemble_rhs(&self, b: &mut [f64], load: impl Fn(usize) -> f64) {
+        let is_pad = &self.grid_cache().is_pad;
+        let injection = self.g_pad * self.v_pad.volts();
+        for (i, bi) in b.iter_mut().enumerate() {
+            *bi = if is_pad[i] { injection } else { 0.0 } - load(i);
+        }
     }
 
     /// Re-solves from a prior [`GridSolution`] given only the loads that
@@ -608,13 +582,20 @@ impl PowerGrid {
     /// are far below the waveform time scale — true for on-die resistive
     /// meshes against tens-of-ns PSN.
     ///
+    /// Every step is one direct solve through the cached factor
+    /// ([`PowerGrid::factor`]) into a single reused right-hand-side
+    /// buffer — the same production path as [`PowerGrid::solve_sparse`].
+    ///
     /// When the context carries an observer, the number of grid solves
     /// accumulates in its `pdn.grid_solves` counter; the waveforms are
     /// identical with and without an observer.
     ///
     /// # Errors
     ///
-    /// Propagates [`PowerGrid::solve`] failures and waveform validation.
+    /// Returns [`PdnError::InvalidParameter`] for a load vector that is
+    /// not grid-shaped or an empty time span, [`PdnError::Interrupted`]
+    /// when the context's supervisor trips, and propagates waveform
+    /// validation.
     pub fn quasi_static_transient(
         &self,
         ctx: &mut psnt_ctx::RunCtx<'_>,
@@ -641,18 +622,11 @@ impl PowerGrid {
         }
         let steps = ((end - start) / dt).ceil() as usize;
         let mut per_tile: Vec<Vec<(Time, f64)>> = vec![Vec::with_capacity(steps + 1); self.tiles()];
-        // Each step warm-starts from the previous instant's solution:
-        // adjacent samples differ by one dt of load drift, so the
-        // relaxation converges in a fraction of the cold iterations.
-        let mut prior: Option<Vec<f64>> = None;
-        // Iteration counts are pure numerics (no clocks, no workers),
-        // so the profile is deterministic; collected locally and folded
-        // once so the detached path stays allocation-free.
-        let mut warm_iters: Vec<usize> = Vec::new();
-        let observed = ctx.has_observer();
-        // Supervision boundary: one check per solve step (each step is
-        // a full grid relaxation, so the check cost is negligible and a
-        // trip loses at most one step of work).
+        let factor = self.factor();
+        let mut b = vec![0.0; self.tiles()];
+        // Supervision boundary: one check per solve step (the check
+        // cost is negligible next to a grid solve, and a trip loses at
+        // most one step of work).
         let sup = ctx.supervisor().clone();
         for k in 0..=steps {
             let t = start + dt * k as f64;
@@ -660,43 +634,16 @@ impl PowerGrid {
             if let Err(reason) = sup.check_at(t.picoseconds()) {
                 return Err(PdnError::Interrupted(reason));
             }
-            let instantaneous: Vec<f64> = loads.iter().map(|w| w.sample(t)).collect();
-            let (v, iters) = self.relax(prior.as_deref(), &instantaneous)?;
-            if observed && prior.is_some() {
-                warm_iters.push(iters);
-            }
-            for (tile, &vi) in v.iter().enumerate() {
+            self.assemble_rhs(&mut b, |i| loads[i].sample(t));
+            factor.solve_in_place(&mut b, 0);
+            for (tile, &vi) in b.iter().enumerate() {
                 per_tile[tile].push((t, vi));
             }
-            prior = Some(v);
         }
         if let Some(obs) = ctx.observer() {
             obs.metrics.counter_add("pdn.grid_solves", steps as u64 + 1);
-            let hist = obs.metrics.histogram(
-                "pdn.warm_start_iters",
-                &[1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0],
-            );
-            for iters in warm_iters {
-                obs.metrics.record(hist, iters as f64);
-            }
         }
         per_tile.into_iter().map(Waveform::from_points).collect()
-    }
-
-    /// The worst (lowest) tile voltage for a load pattern, with its tile
-    /// index — the spatial IR-drop hotspot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PowerGrid::solve`] failures.
-    pub fn hotspot(&self, loads: &[f64]) -> Result<(usize, f64), PdnError> {
-        let v = self.solve(loads)?;
-        let (idx, &worst) = v
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .expect("grid has at least one tile");
-        Ok((idx, worst))
     }
 }
 
@@ -764,7 +711,7 @@ mod tests {
         let mut loads = vec![0.0; 25];
         loads[12] = 0.5; // centre tile
         let v = grid.solve(&loads).unwrap();
-        let (hot, v_hot) = grid.hotspot(&loads).unwrap();
+        let (hot, v_hot) = grid.solve_sparse(&loads).unwrap().hotspot();
         assert_eq!(hot, 12);
         assert!(v_hot < v[0]);
         assert!(v_hot < 1.0);
@@ -799,39 +746,6 @@ mod tests {
         for (l, h) in light.iter().zip(&heavy) {
             assert!(h < l);
         }
-    }
-
-    #[test]
-    fn warm_start_converges_faster_and_matches_cold() {
-        let grid = mk(8);
-        let mut loads = vec![0.01; 64];
-        loads[27] = 0.2;
-        let (base, _) = grid.relax(None, &loads).unwrap();
-        // A neighbouring sweep point: the centre draw drifts by 10 %.
-        let mut next = loads.clone();
-        next[27] = 0.22;
-        let (cold, cold_iters) = grid.relax(None, &next).unwrap();
-        let (warm, warm_iters) = grid.relax(Some(&base), &next).unwrap();
-        // The asymptotic SOR rate bounds the gain at a deep 1e-12
-        // tolerance; the warm start still strictly shortens the run
-        // (and collapses it for the small per-dt drifts of a transient).
-        assert!(
-            warm_iters < cold_iters,
-            "warm start took {warm_iters} iterations vs {cold_iters} cold"
-        );
-        for (i, (w, c)) in warm.iter().zip(&cold).enumerate() {
-            assert!((w - c).abs() < 1e-9, "tile {i}: warm {w} vs cold {c}");
-        }
-        // Re-solving the same point from its own solution is ~free.
-        let (_, again) = grid.relax(Some(&cold), &next).unwrap();
-        assert!(again <= 2, "self warm start took {again} iterations");
-    }
-
-    #[test]
-    fn solve_from_validates_prior_length() {
-        let grid = mk(3);
-        assert!(grid.solve_from(&[1.0; 4], &[0.0; 9]).is_err());
-        assert!(grid.solve_from(&[1.0; 9], &[0.0; 4]).is_err());
     }
 
     #[test]
@@ -932,6 +846,11 @@ mod tests {
         for (i, (d, s)) in dense.iter().zip(sparse.voltages()).enumerate() {
             assert!((d - s).abs() < 1e-9, "tile {i}: dense {d} vs sparse {s}");
         }
+        // Both solvers locate the same IR-drop hotspot.
+        let dense_argmin = (0..dense.len())
+            .min_by(|&a, &b| dense[a].total_cmp(&dense[b]))
+            .unwrap();
+        assert_eq!(dense_argmin, sparse.hotspot().0);
     }
 
     #[test]
@@ -1043,18 +962,6 @@ mod tests {
         let other = mk(3).solve_sparse(&[0.0; 9]).unwrap();
         assert!(grid.solve_delta(&other, &[(0, 0.1)]).is_err());
         assert!(grid.solve_sparse(&[0.0; 9]).is_err());
-    }
-
-    #[test]
-    fn grid_solution_hotspot_matches_grid_hotspot() {
-        let grid = mk(5);
-        let mut loads = vec![0.0; 25];
-        loads[12] = 0.5;
-        let sol = grid.solve_sparse(&loads).unwrap();
-        let (idx, v) = sol.hotspot();
-        let (gi, gv) = grid.hotspot(&loads).unwrap();
-        assert_eq!(idx, gi);
-        assert!((v - gv).abs() < 1e-9);
     }
 
     #[test]

@@ -494,11 +494,9 @@ impl Campaign {
 
     /// [`Campaign::run_resilient`] against **externally solved rails**:
     /// per-tile supply (and optionally ground-bounce) waveforms plus
-    /// explicit sampling instants, skipping the internal relaxation
-    /// transient entirely. This is the fast path for workload-driven
-    /// campaigns whose rail waveforms come from the sparse PDN solver
-    /// ([`psnt_pdn::grid::PowerGrid::solve_delta`]) — at 1,600 nodes a
-    /// per-cycle relaxation sweep would dwarf the measurement cost.
+    /// explicit sampling instants. This is the path for workload-driven
+    /// campaigns whose rail waveforms come from the cycle-stepped
+    /// delta-solve chain ([`psnt_pdn::grid::PowerGrid::solve_delta`]).
     ///
     /// Only instrumented tiles' waveforms are sampled; uninstrumented
     /// entries may be cheap placeholders (e.g. a constant), but the

@@ -31,8 +31,9 @@
 //!
 //! On-disk format: one JSON document, written atomically (`.tmp` +
 //! rename) so a crash mid-write never leaves a truncated checkpoint in
-//! place of a good one. Schema version 2 added the config fingerprint;
-//! version-1 files are refused.
+//! place of a good one. Schema version 2 added the config fingerprint,
+//! version 3 the closed loop's code-distribution latency; files of
+//! other versions are refused.
 //!
 //! [`NocWorkloadConfig`]: crate::NocWorkloadConfig
 
@@ -51,7 +52,7 @@ use crate::stepper::StepperSnapshot;
 
 /// Schema version stamped into every checkpoint; loads refuse other
 /// versions instead of misinterpreting the payload.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Where and how often a supervised run snapshots.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -104,7 +105,9 @@ pub struct WorkloadCheckpoint {
 
 /// A closed-loop checkpoint ([`NocWorkload::run_mitigated`] driver):
 /// the solve state plus the control loop's traces, in-flight frames
-/// and policy state.
+/// and policy state. Its `(policy, latency)` pair names the loop it
+/// captured, so a sweep of closed-loop runs can tell which arm to
+/// resume from the checkpoint alone.
 ///
 /// [`NocWorkload::run_mitigated`]: crate::NocWorkload::run_mitigated
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -116,6 +119,9 @@ pub struct MitigatedCheckpoint {
     /// The policy name in force (`"open-loop"` for no mitigator);
     /// resume refuses a mismatched policy.
     pub policy: String,
+    /// The code-distribution latency of the loop, cycles; resume
+    /// refuses a mismatched latency.
+    pub latency: usize,
     /// The stepper's dynamic state at the captured cycle.
     pub stepper: StepperSnapshot,
     /// Window statistics of every window touched so far.

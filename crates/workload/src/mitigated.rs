@@ -246,6 +246,12 @@ impl CycleConsumer for ControlLoop<'_, '_> {
                 ckpt.policy, out.policy
             )));
         }
+        if ckpt.latency != out.latency {
+            return Err(invalid_resume(format!(
+                "checkpoint ran at latency {} cy, this run uses {} cy",
+                ckpt.latency, out.latency
+            )));
+        }
         if ckpt.droop_trace.len() != done || ckpt.actuation_trace.len() != done {
             return Err(invalid_resume(format!(
                 "traces cover {} cycles, cycle {done} expects {done}",
@@ -348,6 +354,7 @@ impl CycleConsumer for ControlLoop<'_, '_> {
             version: CHECKPOINT_VERSION,
             seed,
             policy: out.policy.clone(),
+            latency: out.latency,
             stepper: stepper.snapshot(),
             stats_done,
             droop_trace: out.droop_trace.clone(),
@@ -566,6 +573,85 @@ mod tests {
             WorkloadError::InvalidConfig { name: "resume", .. }
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Runs `ctrl` at `latency` on the control chip until a `CancelAt`
+    /// fault interrupts it at cycle 70, and returns the checkpoint.
+    fn checkpoint_at_70(
+        w: &NocWorkload,
+        ctrl: &mut dyn Mitigator,
+        latency: usize,
+        tag: &str,
+    ) -> MitigatedCheckpoint {
+        let path =
+            std::env::temp_dir().join(format!("psnt-ckpt-{tag}-{}.json", std::process::id()));
+        let mut ctx = RunCtx::serial()
+            .with_seed(5)
+            .with_fault_plan(FaultPlan::new().with(Fault::CancelAt { cycle: 70 }));
+        w.run_mitigated_checkpointed(
+            &mut ctx,
+            Some(ctrl),
+            latency,
+            &CheckpointPolicy::to_path(&path, 1000),
+            None,
+        )
+        .unwrap_err();
+        let ckpt = MitigatedCheckpoint::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        ckpt
+    }
+
+    fn resume_err(
+        w: &NocWorkload,
+        ctrl: &mut dyn Mitigator,
+        latency: usize,
+        ckpt: &MitigatedCheckpoint,
+    ) -> WorkloadError {
+        w.run_mitigated_checkpointed(
+            &mut RunCtx::serial().with_seed(5),
+            Some(ctrl),
+            latency,
+            &CheckpointPolicy::none(),
+            Some(ckpt),
+        )
+        .expect_err("mismatched resume must be refused")
+    }
+
+    #[test]
+    fn resume_refuses_another_latency() {
+        let w = NocWorkload::new(control_chip()).unwrap();
+        let mk = || ThresholdThrottle::new(4, 6, 7).unwrap();
+        let ckpt = checkpoint_at_70(&w, &mut mk(), 2, "latency");
+        // Two frames in flight fit a 3-cycle line too, so only the
+        // latency itself tells the runs apart.
+        let err = resume_err(&w, &mut mk(), 3, &ckpt);
+        assert!(
+            matches!(err, WorkloadError::InvalidConfig { name: "resume", .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn resume_refuses_another_controller_config() {
+        let w = NocWorkload::new(control_chip()).unwrap();
+        let ckpt = checkpoint_at_70(
+            &w,
+            &mut ThresholdThrottle::new(4, 6, 7).unwrap(),
+            2,
+            "config",
+        );
+        // Same policy name and latency, another hysteresis band.
+        let mut other = ThresholdThrottle::new(4, 2, 3).unwrap();
+        let err = resume_err(&w, &mut other, 2, &ckpt);
+        assert!(
+            matches!(err, WorkloadError::InvalidConfig { name: "resume", .. }),
+            "{err:?}"
+        );
+        assert_eq!(
+            other,
+            ThresholdThrottle::new(4, 2, 3).unwrap(),
+            "left untouched"
+        );
     }
 
     #[test]

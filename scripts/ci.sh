@@ -107,8 +107,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test"
-cargo test -q
+echo "==> cargo test --workspace"
+# Every crate's unit and integration tests, not only the root
+# package's: the sparse-vs-dense PDN oracle, the scan streamed ≡
+# in-memory suite and the checkpoint resume checks live there.
+cargo test -q --workspace
 
 echo "==> cargo bench --no-run"
 # Benches must always compile, even when nobody runs them.
