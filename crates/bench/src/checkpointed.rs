@@ -20,7 +20,7 @@
 use std::path::{Path, PathBuf};
 
 use psnt_analysis::report::{fmt_v, Table};
-use psnt_cells::units::{Time, Voltage};
+use psnt_cells::units::Voltage;
 use psnt_control::{Mitigator, PiBoost, SupplyBoost, ThresholdStretch, ThresholdThrottle};
 use psnt_core::system::SensorSystem;
 use psnt_ctx::RunCtx;
@@ -289,11 +289,9 @@ pub fn droop_mitigation_checkpointed(
     let workload = NocWorkload::new(cfg.clone())?;
     // Self-calibrating thresholds: engage when the droop costs at
     // least one thermometer level off the healthy code.
-    let sensor = SensorSystem::new(cfg.sensor.clone())?;
-    let healthy = sensor
-        .measure_value(cfg.v_pad, Voltage::from_v(0.0), Time::ZERO)?
-        .hs_word
-        .level
+    let healthy = SensorSystem::new(cfg.sensor.clone())?
+        .level_reader()?
+        .level(cfg.v_pad)
         .max(1);
     let (engage, release) = (healthy - 1, healthy);
     let hold = 16;

@@ -89,9 +89,13 @@ pub fn hi_bound_v() -> f64 {
     Voltage::from_v(3.0).volts()
 }
 
-/// The bisection termination width, volts (10 µV).
+/// The bisection termination width, volts (10 µV). A returned
+/// threshold lies within half of it of the search's pass/fail
+/// boundary, so it is also the guard band inside which
+/// [`crate::thermometer::LevelReader`] evaluates an element in full
+/// instead of trusting the threshold comparison.
 #[inline(always)]
-fn tol_v() -> f64 {
+pub fn tol_v() -> f64 {
     Voltage::from_mv(0.01).volts()
 }
 

@@ -89,7 +89,7 @@ pub use mismatch::{monte_carlo_yield, monte_carlo_yield_scalar, MismatchModel, Y
 pub use policy::{AutoRanger, DvfsGovernor, GovernorAction, NoiseAlarm};
 pub use pulsegen::{DelayCode, PulseGenerator, PulseTiming};
 pub use system::{Measurement, SensorConfig, SensorSystem};
-pub use thermometer::{CapacitorLadder, CodeInterval, ThermometerArray};
+pub use thermometer::{CapacitorLadder, CodeInterval, LevelCounts, LevelReader, ThermometerArray};
 
 #[cfg(test)]
 mod tests {

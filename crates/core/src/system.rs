@@ -47,7 +47,7 @@ use crate::element::RailMode;
 use crate::encoder::{Encoder, EncodingPolicy, OuteWord};
 use crate::error::SensorError;
 use crate::pulsegen::{DelayCode, PulseGenerator};
-use crate::thermometer::{CodeInterval, ThermometerArray};
+use crate::thermometer::{CodeInterval, LevelReader, ThermometerArray};
 
 /// Static configuration of a sensor system.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -304,6 +304,27 @@ impl SensorSystem {
         let hs_code = self.hs.measure(vdd, hs_skew, pvt);
         let ls_code = self.ls.measure(gnd, ls_skew, pvt);
         self.package(at, hs_code, ls_code, hs_skew, ls_skew)
+    }
+
+    /// The level-only twin of [`SensorSystem::measure_value`] for
+    /// callers that use nothing but the HIGH-SENSE level: the returned
+    /// reader's `level(vdd)` equals
+    /// `measure_value(vdd, gnd, at)?.hs_word.level` for every `gnd` and
+    /// `at` (see [`LevelReader`]). Both arrays' thresholds are resolved
+    /// here, so the reader fails to build exactly when `measure_value`
+    /// would fail.
+    ///
+    /// # Errors
+    ///
+    /// Propagates threshold-search failures of either array, HIGH-SENSE
+    /// first as in `measure_value`.
+    pub fn level_reader(&self) -> Result<LevelReader, SensorError> {
+        let pvt = &self.config.pvt;
+        let hs_skew = self.pg.skew(self.config.hs_code, pvt);
+        let reader = self.hs.level_reader(hs_skew, pvt, self.hs_encoder)?;
+        self.ls
+            .thresholds(self.pg.skew(self.config.ls_code, pvt), pvt)?;
+        Ok(reader)
     }
 
     fn window_value(&self, wave: &Waveform, at: Time, skew: Time) -> Result<Voltage, SensorError> {

@@ -41,6 +41,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::code::ThermometerCode;
 use crate::element::{ElementReading, RailMode, SenseElement};
+use crate::encoder::Encoder;
 use crate::error::SensorError;
 
 /// An ascending ladder of load capacitances, one per array element.
@@ -327,7 +328,7 @@ impl ThermometerArray {
             .iter()
             .map(|e| e.measure(rail, skew, pvt))
             .collect();
-        (ThermometerArray::pack(&readings), readings)
+        (pack(readings.iter().map(|r| r.passed)), readings)
     }
 
     /// Stochastic variant: metastable boundary elements resolve randomly,
@@ -344,17 +345,7 @@ impl ThermometerArray {
             .iter()
             .map(|e| e.measure_with_rng(rail, skew, pvt, rng))
             .collect();
-        ThermometerArray::pack(&readings)
-    }
-
-    fn pack(readings: &[ElementReading]) -> ThermometerCode {
-        // Most-loaded first: reverse of the ascending element order.
-        let bits: LogicVector = readings
-            .iter()
-            .rev()
-            .map(|r| psnt_cells::logic::Logic::from(r.passed))
-            .collect();
-        ThermometerCode::new(bits)
+        pack(readings.iter().map(|r| r.passed))
     }
 
     /// Oversampled measurement: the mean *level* across `n` stochastic
@@ -609,6 +600,154 @@ impl ThermometerArray {
             },
         })
     }
+
+    /// The level-only read path at one operating point: resolves the
+    /// per-element thresholds once (through the same memo as
+    /// [`ThermometerArray::thresholds`]) and returns a [`LevelReader`]
+    /// whose levels equal `encoder.encode(&self.measure(rail, skew,
+    /// pvt)).level`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SensorError::InvalidConfig`] when the encoder width
+    /// does not match the array, and propagates threshold-search
+    /// failures.
+    pub fn level_reader(
+        &self,
+        skew: Time,
+        pvt: &Pvt,
+        encoder: Encoder,
+    ) -> Result<LevelReader, SensorError> {
+        if encoder.width() != self.bits() {
+            return Err(SensorError::InvalidConfig {
+                name: "encoder",
+                reason: format!(
+                    "encoder width {} does not match array width {}",
+                    encoder.width(),
+                    self.bits()
+                ),
+            });
+        }
+        let thresholds = self.thresholds(skew, pvt)?;
+        Ok(LevelReader {
+            elements: thresholds
+                .into_iter()
+                .zip(self.elements.iter().copied())
+                .collect(),
+            mode: self.mode,
+            skew,
+            pvt: *pvt,
+            encoder,
+            passed: vec![false; self.bits()],
+            counts: LevelCounts::default(),
+        })
+    }
+}
+
+/// Packs per-element pass bits (ascending-load order) into a code that
+/// prints most-loaded element first.
+fn pack(passed: impl DoubleEndedIterator<Item = bool>) -> ThermometerCode {
+    let bits: LogicVector = passed.rev().map(psnt_cells::logic::Logic::from).collect();
+    ThermometerCode::new(bits)
+}
+
+/// Work tallied by a [`LevelReader`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LevelCounts {
+    /// Levels read.
+    pub readings: u64,
+    /// Elements evaluated in full because the rail sat inside the
+    /// guard band of their threshold.
+    pub guard_evals: u64,
+    /// Readings whose pass bits were not a clean thermometer pattern
+    /// and went through the encoder.
+    pub fallbacks: u64,
+}
+
+/// The exact level-only read path of one array, built by
+/// [`ThermometerArray::level_reader`].
+///
+/// Like the comparators of a flash ADC, each element's bit is decided
+/// by which side of its threshold the rail lies: HIGH-SENSE passes
+/// above its threshold, LOW-SENSE below, since an element's delay falls
+/// monotonically with its effective supply. A threshold is the
+/// midpoint of a bisection bracket narrower than
+/// [`crate::lanes::tol_v`] (10 µV) and sits within half of that of the
+/// true pass/fail boundary of [`SenseElement::measure`] (pinned by the
+/// `level_exactness` suite), so within that guard band of a threshold
+/// — and for a non-finite rail — the element is evaluated in full with
+/// `measure` instead. When the bits form a clean thermometer pattern
+/// (passes on the least-loaded elements only) the level is the pass
+/// count, which both encoding policies report for a canonical code;
+/// otherwise the code is packed and run through the encoder. The level
+/// therefore equals `encoder.encode(&array.measure(rail, skew,
+/// pvt)).level` by construction, at a fraction of its cost.
+///
+/// # Examples
+///
+/// ```
+/// use psnt_cells::process::Pvt;
+/// use psnt_cells::units::{Time, Voltage};
+/// use psnt_core::element::RailMode;
+/// use psnt_core::encoder::{Encoder, EncodingPolicy};
+/// use psnt_core::thermometer::ThermometerArray;
+///
+/// let array = ThermometerArray::paper(RailMode::Supply);
+/// let skew = Time::from_ps(149.0); // delay code 011
+/// let encoder = Encoder::new(array.bits(), EncodingPolicy::BubbleCorrect)?;
+/// let mut reader = array.level_reader(skew, &Pvt::typical(), encoder)?;
+/// assert_eq!(reader.level(Voltage::from_v(1.0)), 5); // paper Fig. 9: 0011111
+/// assert_eq!(reader.level(Voltage::from_v(0.9)), 2); // 0000011
+/// # Ok::<(), psnt_core::error::SensorError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct LevelReader {
+    /// `(threshold, element)` pairs, ascending-load order.
+    elements: Vec<(Voltage, SenseElement)>,
+    mode: RailMode,
+    skew: Time,
+    pvt: Pvt,
+    encoder: Encoder,
+    /// Per-element pass bits of the current reading.
+    passed: Vec<bool>,
+    counts: LevelCounts,
+}
+
+impl LevelReader {
+    /// The encoded thermometer level for a rail value.
+    pub fn level(&mut self, rail: Voltage) -> usize {
+        let guard = crate::lanes::tol_v();
+        let v = rail.volts();
+        self.counts.readings += 1;
+        let mut level = 0;
+        let mut clean = true;
+        for (i, (th, e)) in self.elements.iter().enumerate() {
+            let above = v - th.volts();
+            let passed = if v.is_finite() && above.abs() > guard {
+                (above > 0.0) == (self.mode == RailMode::Supply)
+            } else {
+                self.counts.guard_evals += 1;
+                e.measure(rail, self.skew, &self.pvt).passed
+            };
+            self.passed[i] = passed;
+            if passed {
+                clean &= level == i;
+                level += 1;
+            }
+        }
+        if clean {
+            return level;
+        }
+        self.counts.fallbacks += 1;
+        self.encoder
+            .encode(&pack(self.passed.iter().copied()))
+            .level
+    }
+
+    /// The work tallied since the reader was built.
+    pub fn counts(&self) -> LevelCounts {
+        self.counts
+    }
 }
 
 #[cfg(test)]
@@ -691,6 +830,22 @@ mod tests {
         assert_eq!(first.to_string(), "0011111");
         let second = a.measure(Voltage::from_v(0.9), skew011(), &pvt());
         assert_eq!(second.to_string(), "0000011");
+    }
+
+    #[test]
+    fn level_reader_rejects_an_encoder_of_another_width() {
+        let enc = Encoder::new(6, crate::encoder::EncodingPolicy::BubbleCorrect).unwrap();
+        let err = array().level_reader(skew011(), &pvt(), enc).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SensorError::InvalidConfig {
+                    name: "encoder",
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! [`NocWorkload::run_mitigated`] closes the loop the paper gestures
 //! at: every cycle, the [`CycleStepper`] advances the chip one cycle,
-//! each monitor site senses its local rail with the instantaneous
-//! [`SensorSystem::measure_value`] path (the causal sensing entry
-//! point — the windowed `measure_at` would peek into the *next*
-//! cycle's waveform), and the thermometer levels travel through a
+//! each monitor site senses its local rail instantaneously (the causal
+//! sensing path — the windowed `measure_at` would peek into the *next*
+//! cycle's waveform) through the [`LevelReader`] of
+//! [`SensorSystem::level_reader`], which yields exactly
+//! `measure_value(..).hs_word.level` without building a full
+//! `Measurement`, and the thermometer levels travel through a
 //! [`DelayLine`] modelling code-distribution latency before a
 //! [`Mitigator`] turns them into the [`Actuation`] the stepper honours
 //! from the following cycle.
@@ -19,7 +21,7 @@
 
 use psnt_cells::units::Voltage;
 use psnt_control::{Actuation, ControlFrame, DelayLine, Mitigator, SiteReading};
-use psnt_core::SensorSystem;
+use psnt_core::{LevelReader, SensorSystem};
 use psnt_ctx::RunCtx;
 use psnt_obs::{MetricsRegistry, Observer, Span};
 use serde::{Deserialize, Serialize};
@@ -190,6 +192,7 @@ impl NocWorkload {
             },
             mitigator,
             sensor: SensorSystem::new(cfg.sensor.clone())?,
+            reader: None,
             site_nodes: self.site_nodes(),
             node_domain,
             panicking: ctx
@@ -216,6 +219,11 @@ struct ControlLoop<'w, 'm> {
     out: MitigatedNocResult,
     mitigator: Option<&'m mut dyn Mitigator>,
     sensor: SensorSystem,
+    /// The sensor's level reader, built at the first reading so a
+    /// sensor whose thresholds cannot be resolved fails exactly where a
+    /// full measurement would. Its counts cover the readings of this
+    /// run only, from the resume point on a resumed run.
+    reader: Option<LevelReader>,
     /// The grid node each site senses, in floorplan order.
     site_nodes: Vec<usize>,
     /// The power domain (mesh tile) of every grid node.
@@ -311,7 +319,6 @@ impl CycleConsumer for ControlLoop<'_, '_> {
         let Some(m) = self.mitigator.as_deref_mut() else {
             return Ok(());
         };
-        let at = self.workload.config().cycle_time * (c as f64 + 0.5);
         let drop_cycle = self.workload.config().cycles / 2;
         let mut readings = Vec::with_capacity(self.site_nodes.len());
         for (k, &nd) in self.site_nodes.iter().enumerate() {
@@ -319,13 +326,11 @@ impl CycleConsumer for ControlLoop<'_, '_> {
                 out.degraded_readings += 1;
                 None
             } else {
-                let vdd = Voltage::from_v(stepper.voltages()[nd]);
-                Some(
-                    self.sensor
-                        .measure_value(vdd, Voltage::from_v(0.0), at)?
-                        .hs_word
-                        .level,
-                )
+                let reader = match &mut self.reader {
+                    Some(reader) => reader,
+                    None => self.reader.insert(self.sensor.level_reader()?),
+                };
+                Some(reader.level(Voltage::from_v(stepper.voltages()[nd])))
             };
             readings.push(SiteReading {
                 domain: self.node_domain[nd],
@@ -375,6 +380,12 @@ impl CycleConsumer for ControlLoop<'_, '_> {
         metrics.counter_add("control.engaged_cycles", out.engaged_cycles);
         metrics.counter_add("control.degraded_readings", out.degraded_readings);
         metrics.gauge_set_max("control.deferred_peak", out.deferred_peak as f64);
+        if let Some(reader) = &self.reader {
+            let n = reader.counts();
+            metrics.counter_add("sensor.level_readings", n.readings);
+            metrics.counter_add("sensor.level_guard_evals", n.guard_evals);
+            metrics.counter_add("sensor.level_fallbacks", n.fallbacks);
+        }
         let h = metrics.histogram("control.droop_depth_mv", &DROOP_BUCKETS_MV);
         for &d in &out.droop_trace {
             metrics.record(h, d * 1000.0);

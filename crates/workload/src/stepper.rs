@@ -9,9 +9,10 @@
 //! per changed cycle, plus the supply-boost overlay). The sense-frame
 //! stage sits in the consumers of the one supervised driver: the batch
 //! paths sample node voltages into rail waveforms, the closed loop
-//! senses thermometer codes with
-//! [`SensorSystem::measure_value`](psnt_core::SensorSystem::measure_value)
-//! every cycle.
+//! senses thermometer levels every cycle with the level-only
+//! [`LevelReader`](psnt_core::LevelReader) of
+//! [`SensorSystem::level_reader`](psnt_core::SensorSystem::level_reader),
+//! exactly the `hs_word.level` of a full `measure_value`.
 //!
 //! Driven with a neutral [`Actuation`], the stepper is **bit-identical**
 //! to the old fused loop: flights advance one hop per cycle exactly as

@@ -155,6 +155,13 @@ PSNT_JOBS=4 cargo test -q -p psnt-control
 PSNT_JOBS=4 cargo test -q -p psn-thermometer --test stepper_equiv
 PSNT_JOBS=4 cargo test -q -p psn-thermometer --test control_loop
 
+echo "==> level-reader exactness suite under PSNT_JOBS=4"
+# The closed loop's level-only sensing path equals the full
+# measurement's encoded level on every rail — inside the guard band,
+# for an inverted mismatch array — and the threshold margin the guard
+# band rests on stays under half of it.
+PSNT_JOBS=4 cargo test -q -p psnt-core --test level_exactness
+
 echo "==> supervision + resume suites under PSNT_JOBS=4"
 # The supervision contract: cooperative interrupts are structured and
 # lossless, and an interrupted-then-resumed run is bit-identical to an
@@ -174,6 +181,11 @@ echo "==> bounded-memory gate (streamed 256-site campaign)"
 # bounded channel keeps peak RSS flat (VmHWM < 512 MiB, own test
 # binary so the number reflects only this campaign).
 cargo test -q --release -p psnt-workload --test bounded_memory
+
+echo "==> perfbench self-test"
+# The repository benchmark's own checks: all four workloads at both
+# seeds against the fresh-solve reference, plus its traced run.
+cargo test --release --manifest-path perfbench/Cargo.toml
 
 echo "==> perf-regression gate (soft)"
 # Re-times the suites and diffs against the committed baseline. A
