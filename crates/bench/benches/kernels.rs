@@ -243,7 +243,7 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| grid.solve(&loads).unwrap())
     });
 
-    // The workload-scale grid (40×40 = 1,600 nodes). The next four
+    // The workload-scale grid (40×40 = 1,600 nodes). The next five
     // benches pin the sparse-solver story: factor once, then per-cycle
     // solves orders of magnitude below a relaxation sweep.
     let chip_grid = || {
@@ -279,10 +279,21 @@ fn bench_kernels(c: &mut Criterion) {
     c.bench_function("grid_solve_delta_1600", |b| {
         let grid = chip_grid();
         let prior = grid.solve_sparse(&chip_loads).unwrap();
-        // One 5×5 mesh-tile block (the per-cycle workload shape).
+        // One 5×5 mesh-tile block changes (one tile of an 8×8 mesh):
+        // the forward pass starts mid-grid, the back pass is full.
         let changed: Vec<(usize, f64)> = (0..5)
             .flat_map(|r| (0..5).map(move |c| ((20 + r) * 40 + 20 + c, 2.5e-4)))
             .collect();
+        b.iter(|| grid.solve_delta(&prior, &changed).unwrap())
+    });
+
+    c.bench_function("grid_solve_delta_1600_uniform", |b| {
+        let grid = chip_grid();
+        let prior = grid.solve_sparse(&chip_loads).unwrap();
+        // Every 5×5 block changes, so the forward pass starts at node 0:
+        // the shape of a busy NoC cycle, where most tiles' flit counts
+        // move between cycles (≈1,195 of 1,600 nodes on chip_8x8).
+        let changed: Vec<(usize, f64)> = (0..1600).map(|i| (i, 2.5e-4)).collect();
         b.iter(|| grid.solve_delta(&prior, &changed).unwrap())
     });
 

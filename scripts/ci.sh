@@ -107,6 +107,23 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> repro reports vs artifacts/"
+# Every artifacts/<id>.txt is the exact stdout of `repro --<id>`, so a
+# change to any printed report fails here until the record is
+# regenerated on purpose (`repro --<id> > artifacts/<id>.txt`).
+cargo build -q --release -p psnt-bench --bin repro
+stale=""
+for flag in $(target/release/repro --list | awk '{print $1}'); do
+    id="${flag#--}"
+    if ! target/release/repro "$flag" | diff -u "artifacts/$id.txt" - >&2; then
+        stale="$stale $id"
+    fi
+done
+if [ -n "$stale" ]; then
+    echo "repro output differs from artifacts/ for:$stale" >&2
+    exit 1
+fi
+
 echo "==> cargo test --workspace"
 # Every crate's unit and integration tests, not only the root
 # package's: the sparse-vs-dense PDN oracle, the scan streamed ≡
