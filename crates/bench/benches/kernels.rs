@@ -243,9 +243,10 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| grid.solve(&loads).unwrap())
     });
 
-    // The workload-scale grid (40×40 = 1,600 nodes). The next five
-    // benches pin the sparse-solver story: factor once, then per-cycle
-    // solves orders of magnitude below a relaxation sweep.
+    // The workload-scale grid (40×40 = 1,600 nodes). The next benches
+    // pin the solver story: factor once, then per-cycle solves orders of
+    // magnitude below a relaxation sweep, and on the tiled grid a
+    // one-time tile basis that makes each cycle a superposition.
     let chip_grid = || {
         PowerGrid::new(
             40,
@@ -279,8 +280,8 @@ fn bench_kernels(c: &mut Criterion) {
     c.bench_function("grid_solve_delta_1600", |b| {
         let grid = chip_grid();
         let prior = grid.solve_sparse(&chip_loads).unwrap();
-        // One 5×5 mesh-tile block changes (one tile of an 8×8 mesh):
-        // the forward pass starts mid-grid, the back pass is full.
+        // One 5×5 block changes on the untiled grid: the full-solve
+        // fallback, a factor solve of the updated loads.
         let changed: Vec<(usize, f64)> = (0..5)
             .flat_map(|r| (0..5).map(move |c| ((20 + r) * 40 + 20 + c, 2.5e-4)))
             .collect();
@@ -290,11 +291,48 @@ fn bench_kernels(c: &mut Criterion) {
     c.bench_function("grid_solve_delta_1600_uniform", |b| {
         let grid = chip_grid();
         let prior = grid.solve_sparse(&chip_loads).unwrap();
-        // Every 5×5 block changes, so the forward pass starts at node 0:
-        // the shape of a busy NoC cycle, where most tiles' flit counts
-        // move between cycles (≈1,195 of 1,600 nodes on chip_8x8).
+        // Every node changes on the untiled grid: the full-solve
+        // fallback for a busy NoC cycle's change set.
         let changed: Vec<(usize, f64)> = (0..1600).map(|i| (i, 2.5e-4)).collect();
         b.iter(|| grid.solve_delta(&prior, &changed).unwrap())
+    });
+
+    // The chip grid tiled by its 8×8 mesh (5×5-node blocks), as
+    // `Floorplan::mesh` sets it, and a change set that sets every block
+    // to its own uniform load: the shape of a busy NoC cycle, where
+    // most tiles' flit counts move (≈1,195 of 1,600 nodes on chip_8x8).
+    let tiled_grid = || chip_grid().with_load_blocks(5, 5).unwrap();
+    let block_changes: Vec<(usize, f64)> = (0..1600)
+        .map(|i| {
+            let block = (i / 40 / 5) * 8 + (i % 40) / 5;
+            (i, 1.0e-4 * (1 + block % 7) as f64)
+        })
+        .collect();
+
+    c.bench_function("grid_tile_basis_1600", |b| {
+        // The one-time build: zero-load rails plus one solve per block
+        // (65 solves through the factor), paid on a grid's first
+        // block-uniform solve_delta. A fresh grid per iteration, factor
+        // prebuilt outside the timing.
+        let prior = chip_grid().solve_sparse(&chip_loads).unwrap();
+        b.iter_batched(
+            || {
+                let grid = tiled_grid();
+                grid.factor();
+                grid
+            },
+            |grid| grid.solve_delta(&prior, &block_changes).unwrap(),
+            BatchSize::SmallInput,
+        )
+    });
+
+    c.bench_function("grid_solve_delta_1600_tiled", |b| {
+        // The production per-cycle update: 64 axpys of the tile basis
+        // from the absolute block loads.
+        let grid = tiled_grid();
+        let prior = grid.solve_sparse(&chip_loads).unwrap();
+        grid.solve_delta(&prior, &block_changes).unwrap(); // builds the basis
+        b.iter(|| grid.solve_delta(&prior, &block_changes).unwrap())
     });
 
     // Quasi-static transient over 20 steps; each step is one direct

@@ -10,16 +10,19 @@
 //! One production solver and one reference oracle share the grid:
 //!
 //! * [`PowerGrid::solve_sparse`] / [`PowerGrid::solve_delta`] — the
-//!   production path, a direct solve over a banded sparse Cholesky
-//!   factorization of the (fixed) conductance matrix ([`GridFactor`],
-//!   factored **once per grid** and cached, stored as a column-major
-//!   band). A 40×40 (1,600-node) grid solves in about a hundred
-//!   microseconds, and [`PowerGrid::solve_delta`] re-solves from a
-//!   prior [`GridSolution`] given only the load entries that changed:
-//!   its right-hand side costs O(changed loads), its forward pass runs
-//!   from the first changed node to the last node and its back pass
-//!   over every node. [`PowerGrid::quasi_static_transient`] and the
-//!   workload stepper both solve through this factor;
+//!   production path, built on a banded sparse Cholesky factorization
+//!   of the (fixed) conductance matrix ([`GridFactor`], factored **once
+//!   per grid** and cached, stored as a column-major band). A 40×40
+//!   (1,600-node) grid solves in about a hundred microseconds.
+//!   [`PowerGrid::solve_delta`] updates a prior [`GridSolution`] by the
+//!   load entries that changed. On a grid with a load tiling
+//!   ([`PowerGrid::with_load_blocks`]) whose updated loads are uniform
+//!   within every block, it returns the superposition
+//!   `v₀ + Σ_t l_t·G_t` of a lazily built tile basis (zero-load rails
+//!   `v₀` plus one rail response `G_t` per block) from the *absolute*
+//!   block loads `l_t`; any other update is a full factor solve of the
+//!   updated loads. [`PowerGrid::quasi_static_transient`] and the
+//!   workload stepper both solve through this path;
 //! * [`PowerGrid::solve`] — cold Gauss–Seidel relaxation with
 //!   successive over-relaxation and a convergence guard
 //!   ([`PdnError::NoConvergence`]). It has no production caller: it is
@@ -56,13 +59,60 @@ use crate::waveform::Waveform;
 /// Per-grid derived data shared by every solve: the tile adjacency
 /// flattened to CSR (offsets + neighbour indices, ordered
 /// up/down/left/right to match [`PowerGrid::neighbours`]) plus the pad
-/// mask. Built lazily **once per grid** — not once per solve chain — so
+/// mask and, on a tiled grid, the node indices of every load block.
+/// Built lazily **once per grid** — not once per solve chain — so
 /// repeated solves against the same grid perform no per-call setup.
 #[derive(Debug, Clone)]
 struct GridCache {
     off: Vec<u32>,
     adj: Vec<u32>,
     is_pad: Vec<bool>,
+    /// Block-major node indices: block `t`'s nodes, row-major within
+    /// the block, are the `t`-th chunk of `block_rows · block_cols`
+    /// entries. Empty on an untiled grid.
+    block_nodes: Vec<usize>,
+}
+
+/// The tile basis of a tiled grid: the zero-load rails and each load
+/// block's rail response, so that rails under block-uniform loads are
+/// one superposition instead of a triangular solve pair.
+#[derive(Debug, Clone)]
+struct TileBasis {
+    /// Rails with every load at zero: `K⁻¹·b_pad`.
+    v0: Vec<f64>,
+    /// Tile-major: the `t`-th chunk of `n` entries is
+    /// `G_t = K⁻¹·(−1_block t)`, the rails' response to one ampere
+    /// drawn at every node of block `t`.
+    g: Vec<f64>,
+}
+
+impl TileBasis {
+    /// `v₀ + Σ_t loads[t]·G_t`: every rail receives its `l_t·G_t[i]`
+    /// terms one by one in ascending `t`, as one axpy per block would
+    /// add them. Eight columns share a pass over the rails, which cuts
+    /// the rails' loads and stores, not the arithmetic.
+    fn superpose(&self, loads: &[f64]) -> Vec<f64> {
+        const K: usize = 8;
+        let mut v = self.v0.clone();
+        let n = v.len();
+        for (cols, l) in self.g.chunks_exact(K * n).zip(loads.chunks_exact(K)) {
+            let cols: [&[f64]; K] = std::array::from_fn(|k| &cols[k * n..][..n]);
+            for (i, vi) in v.iter_mut().enumerate() {
+                let mut x = *vi;
+                for k in 0..K {
+                    x += l[k] * cols[k][i];
+                }
+                *vi = x;
+            }
+        }
+        let done = loads.len() / K * K;
+        for (col, &l) in self.g[done * n..].chunks_exact(n).zip(&loads[done..]) {
+            for (vi, &gi) in v.iter_mut().zip(col) {
+                *vi += l * gi;
+            }
+        }
+        v
+    }
 }
 
 /// A banded Cholesky factorization `K = L·Lᵀ` of a grid's conductance
@@ -86,8 +136,8 @@ struct GridCache {
 /// Factor entry `(i, j)` receives its `− L[i][t]·L[j][t]` terms in
 /// ascending `t`, then the pivot division or `sqrt`. The column-form
 /// forward pass gives each `b_i` its `− L[i][j]·y_j` terms in ascending
-/// `j`; rows before `first` hold `+0.0` and contribute nothing. The
-/// back pass is the row form, reading columns of `L` as rows of `Lᵀ`.
+/// `j`. The back pass is the row form, reading columns of `L` as rows
+/// of `Lᵀ`.
 #[derive(Debug, Clone)]
 pub struct GridFactor {
     n: usize,
@@ -118,13 +168,10 @@ impl GridFactor {
         &self.l[j * stride..][..len]
     }
 
-    /// Solves `K·x = b` in place. `first` is the index of the first
-    /// non-zero entry of `b`: the forward substitution `L·y = b` starts
-    /// there (every `y` before it is exactly zero), so its cost is
-    /// `O((n − first) · band)`; the back substitution always runs over
-    /// all `n` rows.
-    fn solve_in_place(&self, b: &mut [f64], first: usize) {
-        for j in first..self.n {
+    /// Solves `K·x = b` in place: the forward substitution `L·y = b`,
+    /// then the back substitution `Lᵀ·x = y`, each `O(n · band)`.
+    fn solve_in_place(&self, b: &mut [f64]) {
+        for j in 0..self.n {
             let col = self.column(j);
             let y = b[j] / col[0];
             b[j] = y;
@@ -144,8 +191,8 @@ impl GridFactor {
 }
 
 /// A direct-solver solution: per-tile voltages together with the load
-/// vector that produced them, so [`PowerGrid::solve_delta`] can compute
-/// the right-hand-side delta from the changed entries alone.
+/// vector that produced them, so [`PowerGrid::solve_delta`] can apply a
+/// set of changed loads to it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GridSolution {
     voltages: Vec<f64>,
@@ -193,13 +240,23 @@ pub struct PowerGrid {
     g_pad: f64,
     /// Pad tile indices (row-major).
     pads: Vec<usize>,
-    /// Adjacency CSR + pad mask, derived from the config fields above.
+    /// Load tiling as `(block_rows, block_cols)` grid nodes per block,
+    /// set by [`PowerGrid::with_load_blocks`]; `None` for an untiled
+    /// grid.
+    #[serde(default)]
+    load_blocks: Option<(usize, usize)>,
+    /// Adjacency CSR + pad mask + block map, derived from the config
+    /// fields above.
     #[serde(skip)]
     cache: OnceLock<GridCache>,
     /// Banded Cholesky factor of the conductance matrix, built on first
     /// [`PowerGrid::factor`] / [`PowerGrid::solve_sparse`] use.
     #[serde(skip)]
     factor: OnceLock<GridFactor>,
+    /// Tile basis of a tiled grid, built on its first
+    /// [`PowerGrid::solve_delta`].
+    #[serde(skip)]
+    basis: OnceLock<TileBasis>,
 }
 
 // The lazy caches are derived state: two grids are equal iff their
@@ -212,6 +269,7 @@ impl PartialEq for PowerGrid {
             && self.g_mesh == other.g_mesh
             && self.g_pad == other.g_pad
             && self.pads == other.pads
+            && self.load_blocks == other.load_blocks
     }
 }
 
@@ -270,9 +328,58 @@ impl PowerGrid {
             g_mesh: 1.0 / r_mesh.ohms(),
             g_pad: 1.0 / r_pad.ohms(),
             pads: pad_idx,
+            load_blocks: None,
             cache: OnceLock::new(),
             factor: OnceLock::new(),
+            basis: OnceLock::new(),
         })
+    }
+
+    /// Declares the grid's load tiling: `block_rows × block_cols`-node
+    /// blocks, numbered row-major, whose loads a workload sets block by
+    /// block. On a tiled grid, [`PowerGrid::solve_delta`] solves
+    /// block-uniform loads by tile-basis superposition.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PdnError::InvalidParameter`] when a block dimension is
+    /// zero or does not divide the grid.
+    pub fn with_load_blocks(
+        self,
+        block_rows: usize,
+        block_cols: usize,
+    ) -> Result<PowerGrid, PdnError> {
+        if block_rows == 0
+            || block_cols == 0
+            || !self.rows.is_multiple_of(block_rows)
+            || !self.cols.is_multiple_of(block_cols)
+        {
+            return Err(PdnError::InvalidParameter {
+                name: "load_blocks",
+                reason: format!(
+                    "{block_rows}×{block_cols} blocks do not tile the {}×{} grid",
+                    self.rows, self.cols
+                ),
+            });
+        }
+        Ok(PowerGrid {
+            load_blocks: Some((block_rows, block_cols)),
+            cache: OnceLock::new(),
+            basis: OnceLock::new(),
+            ..self
+        })
+    }
+
+    /// Grid nodes of load block `block` (row-major over blocks), in
+    /// row-major node order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an untiled grid or a block index past the last block.
+    pub fn block_nodes(&self, block: usize) -> &[usize] {
+        self.block_chunks()
+            .nth(block)
+            .expect("block index inside the grid's load tiling")
     }
 
     /// A square grid with pads on all four corners — the configuration the
@@ -371,8 +478,66 @@ impl PowerGrid {
             for &p in &self.pads {
                 is_pad[p] = true;
             }
-            GridCache { off, adj, is_pad }
+            let mut block_nodes = Vec::new();
+            if let Some((block_rows, block_cols)) = self.load_blocks {
+                block_nodes.reserve(n);
+                for br in 0..self.rows / block_rows {
+                    for bc in 0..self.cols / block_cols {
+                        for r in br * block_rows..(br + 1) * block_rows {
+                            let row = r * self.cols;
+                            block_nodes.extend(row + bc * block_cols..row + (bc + 1) * block_cols);
+                        }
+                    }
+                }
+            }
+            GridCache {
+                off,
+                adj,
+                is_pad,
+                block_nodes,
+            }
         })
+    }
+
+    /// The tile basis of a tiled grid, built through the cached factor
+    /// on first use: one solve for `v₀` and one per block.
+    fn tile_basis(&self) -> &TileBasis {
+        self.basis.get_or_init(|| {
+            let n = self.tiles();
+            let factor = self.factor();
+            let mut v0 = vec![0.0; n];
+            self.assemble_rhs(&mut v0, |_| 0.0);
+            factor.solve_in_place(&mut v0);
+            let blocks = self.block_chunks();
+            let mut g = vec![0.0; blocks.len() * n];
+            for (col, nodes) in g.chunks_exact_mut(n).zip(blocks) {
+                for &nd in nodes {
+                    col[nd] = -1.0;
+                }
+                factor.solve_in_place(col);
+            }
+            TileBasis { v0, g }
+        })
+    }
+
+    /// The node lists of every load block, in block order; empty on an
+    /// untiled grid.
+    fn block_chunks(&self) -> std::slice::ChunksExact<'_, usize> {
+        let size = self.load_blocks.map_or(1, |(r, c)| r * c);
+        self.grid_cache().block_nodes.chunks_exact(size)
+    }
+
+    /// Per-block loads of `loads` when every block of the tiling is
+    /// uniform, in block order; `None` on an untiled grid or when some
+    /// block holds two different loads.
+    fn block_loads(&self, loads: &[f64]) -> Option<Vec<f64>> {
+        self.load_blocks?;
+        self.block_chunks()
+            .map(|nodes| {
+                let l = loads[nodes[0]];
+                nodes.iter().all(|&nd| loads[nd] == l).then_some(l)
+            })
+            .collect()
     }
 
     /// The banded Cholesky factorization of this grid's conductance
@@ -468,7 +633,9 @@ impl PowerGrid {
         let n = self.tiles();
         let vp = self.v_pad.volts();
         let mut v = vec![vp; n];
-        let GridCache { off, adj, is_pad } = self.grid_cache();
+        let GridCache {
+            off, adj, is_pad, ..
+        } = self.grid_cache();
 
         const MAX_ITER: usize = 20_000;
         const TOL: f64 = 1e-12;
@@ -521,13 +688,16 @@ impl PowerGrid {
                 reason: format!("expected {} tile currents, got {}", n, loads.len()),
             });
         }
-        let mut b = vec![0.0; n];
+        Ok(self.factor_solve(loads.to_vec()))
+    }
+
+    /// The factor solve of `loads`, which the solution takes ownership
+    /// of.
+    fn factor_solve(&self, loads: Vec<f64>) -> GridSolution {
+        let mut b = vec![0.0; loads.len()];
         self.assemble_rhs(&mut b, |i| loads[i]);
-        self.factor().solve_in_place(&mut b, 0);
-        Ok(GridSolution {
-            voltages: b,
-            loads: loads.to_vec(),
-        })
+        self.factor().solve_in_place(&mut b);
+        GridSolution { voltages: b, loads }
     }
 
     /// Writes the right-hand side of `K·v = b` into `b`: each pad
@@ -541,13 +711,19 @@ impl PowerGrid {
         }
     }
 
-    /// Re-solves from a prior [`GridSolution`] given only the loads that
-    /// changed (`(node_index, new_load_amperes)` pairs; later duplicates
-    /// win). The linear system makes this exact: the voltage update is
-    /// `K⁻¹·Δb` where `Δb` is non-zero only at the changed nodes. The
-    /// right-hand side assembly costs O(changed loads), the forward
-    /// substitution runs from the lowest changed node to the last, and
-    /// the back substitution is always a full `O(n · band)` pass.
+    /// Updates a prior [`GridSolution`] by the loads that changed
+    /// (`(node_index, new_load_amperes)` pairs; later duplicates win)
+    /// and returns the rails of the updated load vector.
+    ///
+    /// On a tiled grid ([`PowerGrid::with_load_blocks`]) whose updated
+    /// loads are uniform within every block, the rails are the tile
+    /// superposition `v₀ + Σ_t l_t·G_t` from the *absolute* block loads
+    /// `l_t`: one contiguous axpy per block, built on a basis computed
+    /// once per grid (on the first call) through the cached factor. The
+    /// result never depends on the prior voltages, so a chain of updates
+    /// cannot drift; it agrees with [`PowerGrid::solve_sparse`] to
+    /// within 1e-12 V. Any other update is a full factor solve of the
+    /// updated loads, bit-identical to [`PowerGrid::solve_sparse`].
     ///
     /// An empty or all-unchanged `changed` set returns a clone of
     /// `prior` without touching the solver.
@@ -584,25 +760,24 @@ impl PowerGrid {
                 });
             }
         }
-        let mut next = prior.clone();
-        let mut db = vec![0.0; n];
-        let mut first = n;
+        let mut loads = prior.loads.clone();
+        let mut moved = false;
         for &(node, new_load) in changed {
-            let delta = new_load - next.loads[node];
-            if delta != 0.0 {
-                db[node] -= delta;
-                next.loads[node] = new_load;
-                first = first.min(node);
+            if new_load != loads[node] {
+                loads[node] = new_load;
+                moved = true;
             }
         }
-        if first == n {
-            return Ok(next);
+        if !moved {
+            return Ok(prior.clone());
         }
-        self.factor().solve_in_place(&mut db, first);
-        for (v, dv) in next.voltages.iter_mut().zip(&db) {
-            *v += dv;
-        }
-        Ok(next)
+        Ok(match self.block_loads(&loads) {
+            Some(block_loads) => GridSolution {
+                voltages: self.tile_basis().superpose(&block_loads),
+                loads,
+            },
+            None => self.factor_solve(loads),
+        })
     }
 
     /// Quasi-static transient: solves the grid at every sample instant of
@@ -664,7 +839,7 @@ impl PowerGrid {
                 return Err(PdnError::Interrupted(reason));
             }
             self.assemble_rhs(&mut b, |i| loads[i].sample(t));
-            factor.solve_in_place(&mut b, 0);
+            factor.solve_in_place(&mut b);
             for (tile, &vi) in b.iter().enumerate() {
                 per_tile[tile].push((t, vi));
             }
@@ -1003,6 +1178,92 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.clone(), b);
         assert_ne!(mk(4), mk(5));
+        // The tiling is configuration: it takes part in equality.
+        let tiled = mk(4).with_load_blocks(2, 2).unwrap();
+        assert_ne!(tiled, mk(4));
+        assert_eq!(tiled, mk(4).with_load_blocks(2, 2).unwrap());
+        assert_ne!(tiled, mk(4).with_load_blocks(4, 2).unwrap());
+    }
+
+    #[test]
+    fn load_tiling_must_divide_the_grid() {
+        for (block_rows, block_cols) in [(4, 4), (0, 2), (2, 0), (3, 4), (7, 1)] {
+            let err = mk(6).with_load_blocks(block_rows, block_cols).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    PdnError::InvalidParameter {
+                        name: "load_blocks",
+                        ..
+                    }
+                ),
+                "{block_rows}×{block_cols}: {err:?}"
+            );
+        }
+        let grid = mk(6).with_load_blocks(2, 3).unwrap();
+        assert_eq!(grid.load_blocks, Some((2, 3)));
+        assert_eq!(mk(6).load_blocks, None);
+        // Blocks are numbered row-major; nodes are row-major inside.
+        assert_eq!(grid.block_nodes(0), &[0, 1, 2, 6, 7, 8]);
+        assert_eq!(grid.block_nodes(1), &[3, 4, 5, 9, 10, 11]);
+        assert_eq!(grid.block_nodes(5), &[27, 28, 29, 33, 34, 35]);
+    }
+
+    #[test]
+    fn serde_round_trip_keeps_the_tiling() {
+        let tiled = mk(6).with_load_blocks(3, 2).unwrap();
+        let back: PowerGrid = serde::json::from_str(&serde::json::to_string(&tiled)).unwrap();
+        assert_eq!(back, tiled);
+        assert_eq!(back.load_blocks, Some((3, 2)));
+        // A grid serialized without the field reads back untiled.
+        let mut value = serde::json::to_value(&mk(6));
+        if let serde::Value::Map(fields) = &mut value {
+            fields.retain(|(k, _)| k != "load_blocks");
+        }
+        let old: PowerGrid = serde::json::from_value(&value).unwrap();
+        assert_eq!(old, mk(6));
+    }
+
+    #[test]
+    fn superpose_adds_like_one_axpy_per_block() {
+        // 13 blocks: one eight-column pass plus a five-column tail.
+        let (n, blocks) = (37, 13);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let basis = TileBasis {
+            v0: (0..n).map(|_| 1.0 + next()).collect(),
+            g: (0..n * blocks).map(|_| next()).collect(),
+        };
+        let loads: Vec<f64> = (0..blocks).map(|_| next()).collect();
+        let mut reference = basis.v0.clone();
+        for (col, &l) in basis.g.chunks_exact(n).zip(&loads) {
+            for (vi, &gi) in reference.iter_mut().zip(col) {
+                *vi += l * gi;
+            }
+        }
+        assert_eq!(bits(&basis.superpose(&loads)), bits(&reference));
+    }
+
+    #[test]
+    fn non_uniform_update_on_a_tiled_grid_is_a_fresh_factor_solve() {
+        let grid = mk(6).with_load_blocks(2, 3).unwrap();
+        let base = grid.solve_sparse(&[0.02; 36]).unwrap();
+        // One node of block 0 moves: the blocks are no longer uniform.
+        let next = grid.solve_delta(&base, &[(7, 0.3)]).unwrap();
+        let fresh = grid.solve_sparse(next.loads()).unwrap();
+        assert_eq!(bits(next.voltages()), bits(fresh.voltages()));
+        // Restoring uniformity takes the basis path again.
+        let block: Vec<(usize, f64)> = grid.block_nodes(0).iter().map(|&nd| (nd, 0.3)).collect();
+        let uniform = grid.solve_delta(&next, &block).unwrap();
+        let fresh = grid.solve_sparse(uniform.loads()).unwrap();
+        for (u, f) in uniform.voltages().iter().zip(fresh.voltages()) {
+            assert!((u - f).abs() <= 1e-12, "basis {u} vs fresh {f}");
+        }
     }
 
     /// The row-oriented reference the column-band kernel replaced: a
@@ -1042,9 +1303,9 @@ mod tests {
             self.l[i * (self.band + 1) + (j + self.band - i)]
         }
 
-        fn solve_in_place(&self, b: &mut [f64], first: usize) {
+        fn solve_in_place(&self, b: &mut [f64]) {
             let w = self.band;
-            for i in first..self.n {
+            for i in 0..self.n {
                 let mut s = b[i];
                 for (j, &bj) in b.iter().enumerate().take(i).skip(i.saturating_sub(w)) {
                     s -= self.entry(i, j) * bj;
@@ -1059,41 +1320,15 @@ mod tests {
                 b[i] = s / self.entry(i, i);
             }
         }
-
-        /// [`PowerGrid::solve_delta`]'s right-hand side, solved by the
-        /// row-oriented kernel: the next (voltages, loads).
-        fn solve_delta(
-            &self,
-            prior: &(Vec<f64>, Vec<f64>),
-            changed: &[(usize, f64)],
-        ) -> (Vec<f64>, Vec<f64>) {
-            let (mut v, mut loads) = prior.clone();
-            let mut db = vec![0.0; self.n];
-            let mut first = self.n;
-            for &(node, new_load) in changed {
-                let delta = new_load - loads[node];
-                if delta != 0.0 {
-                    db[node] -= delta;
-                    loads[node] = new_load;
-                    first = first.min(node);
-                }
-            }
-            if first < self.n {
-                self.solve_in_place(&mut db, first);
-                for (vi, dv) in v.iter_mut().zip(&db) {
-                    *vi += dv;
-                }
-            }
-            (v, loads)
-        }
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Holds the factor, a cold solve and a delta chain of `grid` to
-    /// the row oracle bit for bit.
+    /// Holds the factor, a cold solve and every step of a delta chain
+    /// of the untiled `grid` to the row oracle bit for bit: each step
+    /// must equal the oracle's cold solve of that step's loads.
     fn assert_matches_row_oracle(grid: &PowerGrid, loads: &[f64], steps: &[Vec<(usize, f64)>]) {
         let oracle = RowOracle::factor(grid);
         let f = grid.factor();
@@ -1106,16 +1341,25 @@ mod tests {
             assert_eq!(f.column(j).len(), (n - j).min(w + 1));
         }
         let mut sol = grid.solve_sparse(loads).unwrap();
-        let mut b = vec![0.0; n];
-        grid.assemble_rhs(&mut b, |i| loads[i]);
-        oracle.solve_in_place(&mut b, 0);
-        assert_eq!(bits(sol.voltages()), bits(&b), "solve_sparse");
-        let mut reference = (b, loads.to_vec());
+        let cold = |loads: &[f64]| {
+            let mut b = vec![0.0; n];
+            grid.assemble_rhs(&mut b, |i| loads[i]);
+            oracle.solve_in_place(&mut b);
+            b
+        };
+        assert_eq!(bits(sol.voltages()), bits(&cold(loads)), "solve_sparse");
+        let mut reference = loads.to_vec();
         for (k, changed) in steps.iter().enumerate() {
             sol = grid.solve_delta(&sol, changed).unwrap();
-            reference = oracle.solve_delta(&reference, changed);
-            assert_eq!(bits(sol.voltages()), bits(&reference.0), "delta step {k}");
-            assert_eq!(bits(sol.loads()), bits(&reference.1), "delta step {k}");
+            for &(node, load) in changed {
+                reference[node] = load;
+            }
+            assert_eq!(bits(sol.loads()), bits(&reference), "delta step {k}");
+            assert_eq!(
+                bits(sol.voltages()),
+                bits(&cold(&reference)),
+                "delta step {k}"
+            );
         }
     }
 
@@ -1188,8 +1432,7 @@ mod tests {
             /// The column-band factor, cold solves and delta chains are
             /// bit-identical to the row-oriented oracle on random grid
             /// shapes (1×1, 1×n, n×1 and 2×n among them), random pads and
-            /// random change sets that start past node 0 and repeat
-            /// nodes.
+            /// random change sets that repeat nodes.
             #[test]
             fn column_band_kernel_matches_row_oracle(
                 (rows, cols) in prop_oneof![
@@ -1233,6 +1476,66 @@ mod tests {
                     })
                     .collect();
                 assert_matches_row_oracle(&grid, &loads, &steps);
+            }
+
+            /// On random tiled grids — 1×1 blocks, a single block, 1×n
+            /// grids, random pads and resistances — every step of a
+            /// block-uniform load chain (zero and repeated loads among
+            /// them) is within 1e-12 V of `solve_sparse` and within 1e-9
+            /// V of the Gauss–Seidel oracle.
+            #[test]
+            fn tile_basis_chain_matches_fresh_solves(
+                (mesh_rows, mesh_cols, block_rows, block_cols) in prop_oneof![
+                    (1usize..6, 1usize..6, Just(1usize), Just(1usize)),
+                    (Just(1usize), Just(1usize), 1usize..6, 1usize..6),
+                    (Just(1usize), 1usize..6, Just(1usize), 1usize..4),
+                    (1usize..4, 1usize..4, 1usize..4, 1usize..4),
+                ],
+                r_mesh in 5.0..200.0f64,
+                r_pad in 5.0..100.0f64,
+                seed in any::<u64>(),
+            ) {
+                let mut state = seed;
+                let mut next = |m: usize| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ((state >> 33) as usize) % m
+                };
+                let (rows, cols) = (mesh_rows * block_rows, mesh_cols * block_cols);
+                let grid = PowerGrid::new(
+                    rows,
+                    cols,
+                    Voltage::from_v(1.0),
+                    Resistance::from_milliohms(r_mesh),
+                    Resistance::from_milliohms(r_pad),
+                    vec![(0, 0), (next(rows), next(cols))],
+                )
+                .unwrap()
+                .with_load_blocks(block_rows, block_cols)
+                .unwrap();
+                let blocks = mesh_rows * mesh_cols;
+                let mut block_loads = vec![0.0; blocks];
+                let mut sol = grid.solve_sparse(&vec![0.0; rows * cols]).unwrap();
+                for _ in 0..1 + next(8) {
+                    let mut changed = Vec::new();
+                    for (t, l) in block_loads.iter_mut().enumerate() {
+                        // Zero, repeated or fresh, a quarter each.
+                        *l = match next(4) {
+                            0 => 0.0,
+                            1 => *l,
+                            _ => next(500) as f64 * 1e-4,
+                        };
+                        changed.extend(grid.block_nodes(t).iter().map(|&nd| (nd, *l)));
+                    }
+                    sol = grid.solve_delta(&sol, &changed).unwrap();
+                    let fresh = grid.solve_sparse(sol.loads()).unwrap();
+                    let dense = grid.solve(sol.loads()).unwrap();
+                    for ((v, f), d) in sol.voltages().iter().zip(fresh.voltages()).zip(&dense) {
+                        prop_assert!((v - f).abs() <= 1e-12, "basis {} vs sparse {}", v, f);
+                        prop_assert!((v - d).abs() <= 1e-9, "basis {} vs dense {}", v, d);
+                    }
+                }
             }
 
             /// A chain of delta solves equals a fresh factor-backed solve

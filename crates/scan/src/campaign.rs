@@ -495,8 +495,8 @@ impl Campaign {
     /// [`Campaign::run_resilient`] against **externally solved rails**:
     /// per-tile supply (and optionally ground-bounce) waveforms plus
     /// explicit sampling instants. This is the path for workload-driven
-    /// campaigns whose rail waveforms come from the cycle-stepped
-    /// delta-solve chain ([`psnt_pdn::grid::PowerGrid::solve_delta`]).
+    /// campaigns whose rail waveforms come from the cycle-stepped grid
+    /// updates ([`psnt_pdn::grid::PowerGrid::solve_delta`]).
     ///
     /// Only instrumented tiles' waveforms are sampled; uninstrumented
     /// entries may be cheap placeholders (e.g. a constant), but the

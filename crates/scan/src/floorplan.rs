@@ -117,7 +117,9 @@ impl Floorplan {
     /// Sites within a tile are laid out on a near-square sub-grid at
     /// the centres of equal sub-cells, so coverage stays spatially
     /// uniform at any density. Site order is row-major by grid tile
-    /// index, matching every other placement.
+    /// index, matching every other placement. The grid gets the mesh's
+    /// blocks as its load tiling ([`PowerGrid::with_load_blocks`]):
+    /// mesh tile `t` (row-major) draws its current through block `t`.
     ///
     /// # Errors
     ///
@@ -175,6 +177,7 @@ impl Floorplan {
             // invariant rather than silently dropping sites.
             return Err(invalid("site positions collide within a tile block".into()));
         }
+        let grid = grid.with_load_blocks(block_rows, block_cols)?;
         Floorplan::new(grid, Placement::Tiles(tiles))
     }
 

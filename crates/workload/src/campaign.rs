@@ -6,10 +6,11 @@
 //! 1. [`ActivityTrace`](crate::noc::ActivityTrace) turns seed-split
 //!    traffic streams into per-mesh-tile switching counts;
 //! 2. each mesh tile's current (`idle + flit·count`) is spread over its
-//!    block of power-grid nodes, and the grid is re-solved every cycle
-//!    through [`PowerGrid::solve_delta`] — only blocks whose activity
-//!    changed enter the solver, so a 1,600-node grid sustains
-//!    1,000-cycle campaigns in well under a second;
+//!    block of power-grid nodes — the grid's load tiling — and every
+//!    cycle whose activity moved updates the rails through
+//!    [`PowerGrid::solve_delta`]: one tile-basis superposition from the
+//!    absolute block loads, so a 1,600-node grid sustains 1,000-cycle
+//!    campaigns in a few tens of milliseconds;
 //! 3. the per-site rail waveforms and window-centre instants feed the
 //!    scan layer's `from_rails` entry points, in memory
 //!    ([`NocWorkload::run`]) or streamed record-by-record
@@ -287,8 +288,6 @@ pub struct NocWorkload {
     config: NocWorkloadConfig,
     mesh: NocMesh,
     campaign: Campaign,
-    /// Grid nodes of each mesh tile's block, row-major by mesh tile.
-    block_nodes: Vec<Vec<usize>>,
 }
 
 impl NocWorkload {
@@ -350,27 +349,10 @@ impl NocWorkload {
             config.sites_per_tile,
         )?;
         let campaign = Campaign::new(floorplan, config.sensor.clone())?;
-        let (block_rows, block_cols) = (
-            config.grid_rows / config.mesh_rows,
-            config.grid_cols / config.mesh_cols,
-        );
-        let mut block_nodes = Vec::with_capacity(mesh.tiles());
-        for mr in 0..config.mesh_rows {
-            for mc in 0..config.mesh_cols {
-                let mut nodes = Vec::with_capacity(block_rows * block_cols);
-                for r in mr * block_rows..(mr + 1) * block_rows {
-                    for c in mc * block_cols..(mc + 1) * block_cols {
-                        nodes.push(r * config.grid_cols + c);
-                    }
-                }
-                block_nodes.push(nodes);
-            }
-        }
         Ok(NocWorkload {
             config,
             mesh,
             campaign,
-            block_nodes,
         })
     }
 
@@ -394,9 +376,10 @@ impl NocWorkload {
         self.config.cycles / self.config.measure_every
     }
 
-    /// Grid nodes of mesh tile `tile`'s power block.
+    /// Grid nodes of mesh tile `tile`'s power block: the grid's load
+    /// block `tile` ([`PowerGrid::block_nodes`]).
     pub fn block_nodes(&self, tile: usize) -> &[usize] {
-        &self.block_nodes[tile]
+        self.campaign.floorplan().grid().block_nodes(tile)
     }
 
     /// The grid node each sensor site senses, in floorplan order.
@@ -409,7 +392,7 @@ impl NocWorkload {
     /// tile's block. One closure shared by the stepper and any driver
     /// so both sides compute bit-identical currents.
     pub(crate) fn node_load_fn(&self) -> impl Fn(u32) -> f64 {
-        let block = self.block_nodes[0].len() as f64;
+        let block = self.block_nodes(0).len() as f64;
         let idle_node = self.config.idle_current.amps() / block;
         let flit_node = self.config.flit_current.amps() / block;
         move |count: u32| idle_node + flit_node * f64::from(count)
@@ -427,7 +410,11 @@ impl NocWorkload {
         let site_nodes = self.site_nodes();
         let mut rails = SiteRails {
             workload: self,
-            points: vec![Vec::with_capacity(self.config.cycles); site_nodes.len()],
+            // One allocation per site: `vec![v; n]` would clone the
+            // capacity away and grow n − 1 series by doubling.
+            points: (0..site_nodes.len())
+                .map(|_| Vec::with_capacity(self.config.cycles))
+                .collect(),
             site_nodes,
         };
         let (stepper, stats) = self.drive(ctx, &mut rails, policy, resume)?;

@@ -7,9 +7,8 @@
 //! snapshot restores onto a fresh run over the **same workload, seed
 //! and worker count**, after which the run is bit-identical,
 //! record for record, to one that was never interrupted: the stepper's
-//! delta-solve chain continues from the captured floating-point state
-//! and the traffic plan (a pure function of the seed) is rebuilt, not
-//! stored.
+//! captured rails are reinstated bit for bit and the traffic plan (a
+//! pure function of the seed) is rebuilt, not stored.
 //!
 //! Both checkpoint types share one resume check (schema version, seed,
 //! stepper snapshot, window-statistics prefix). The stepper snapshot
@@ -32,8 +31,10 @@
 //! On-disk format: one JSON document, written atomically (`.tmp` +
 //! rename) so a crash mid-write never leaves a truncated checkpoint in
 //! place of a good one. Schema version 2 added the config fingerprint,
-//! version 3 the closed loop's code-distribution latency; files of
-//! other versions are refused.
+//! version 3 the closed loop's code-distribution latency, and version 4
+//! marks rails from the tile-basis grid update (a version-3 file holds
+//! rails from the triangular delta chain, and resuming it would mix the
+//! two numerics); files of other versions are refused.
 //!
 //! [`NocWorkloadConfig`]: crate::NocWorkloadConfig
 
@@ -52,7 +53,7 @@ use crate::stepper::StepperSnapshot;
 
 /// Schema version stamped into every checkpoint; loads refuse other
 /// versions instead of misinterpreting the payload.
-pub const CHECKPOINT_VERSION: u32 = 3;
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Where and how often a supervised run snapshots.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -295,6 +296,24 @@ mod tests {
                 assert!(reason.contains("schema version 1"), "{reason}");
             }
             other => panic!("expected a version error, got {other:?}"),
+        }
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn load_refuses_a_version_3_file() {
+        let path = std::env::temp_dir().join(format!("psnt-ckpt-v3-{}.json", std::process::id()));
+        fs::write(&path, r#"{"version": 3, "seed": 7}"#).unwrap();
+        for err in [
+            WorkloadCheckpoint::load(&path).map(|_| ()),
+            MitigatedCheckpoint::load(&path).map(|_| ()),
+        ] {
+            match err {
+                Err(WorkloadError::Checkpoint { reason, .. }) => {
+                    assert_eq!(reason, "schema version 3, this build reads 4");
+                }
+                other => panic!("expected a version error, got {other:?}"),
+            }
         }
         fs::remove_file(&path).unwrap();
     }

@@ -12,8 +12,9 @@
 //!   la Booksim's random link-load tables);
 //! * [`noc`] — the mesh, XY routing and the per-cycle activity trace;
 //! * [`stepper`] — [`CycleStepper`], the cycle-stepped co-simulation
-//!   core: activity source → current map → incremental grid state
-//!   ([`PowerGrid::solve_delta`](psnt_pdn::grid::PowerGrid::solve_delta)),
+//!   core: activity source → current map → grid state
+//!   ([`PowerGrid::solve_delta`](psnt_pdn::grid::PowerGrid::solve_delta),
+//!   a tile-basis superposition of the absolute block loads),
 //!   with a sanctioned [`Actuation`](psnt_control::Actuation) door for
 //!   closed-loop control;
 //! * [`campaign`] — [`NocWorkload`]: the batch entry points, which

@@ -166,9 +166,13 @@ impl ActivityTrace {
         // worker-count-independent.
         Ok(ctx.engine().map(tiles, |t| {
             let mut gen = TileTraffic::new(pattern, seed, t, tiles);
-            (0..cycles as u64)
+            let mut plan: Vec<(u32, u32)> = (0..cycles as u64)
                 .filter_map(|c| gen.step(c).map(|dst| (c as u32, dst as u32)))
-                .collect()
+                .collect();
+            // A stepper holds its plan for the whole run: shed the
+            // slack the list's growth left (up to half its bytes).
+            plan.shrink_to_fit();
+            plan
         }))
     }
 

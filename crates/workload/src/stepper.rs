@@ -4,9 +4,10 @@
 //! batch pipeline used to fuse: **activity source** (the seed-split
 //! injection plan from [`ActivityTrace::plan`], walked flit-by-flit) →
 //! **current map** (per-tile switching counts scaled by the actuation's
-//! clock-stretch into node loads) → **grid state** (one incremental
+//! clock-stretch into node loads) → **grid state** (one
 //! [`PowerGrid::solve_delta`](psnt_pdn::grid::PowerGrid::solve_delta)
-//! per changed cycle, plus the supply-boost overlay). The sense-frame
+//! per cycle whose counts moved — a tile-basis superposition from the
+//! absolute block loads — plus the supply-boost overlay). The sense-frame
 //! stage sits in the consumers of the one supervised driver: the batch
 //! paths sample node voltages into rail waveforms, the closed loop
 //! senses thermometer levels every cycle with the level-only
@@ -61,8 +62,9 @@ struct Flight {
 /// diverging.
 ///
 /// The grid solution is captured verbatim rather than re-solved at
-/// restore: the delta-solve chain is bit-exact only when it continues
-/// from the same floating-point state it was interrupted in.
+/// restore: a cycle whose counts did not move reuses the prior rails,
+/// and a fresh solve of them would differ from the tile-basis rails in
+/// the last bits.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StepperSnapshot {
     config_hash: u64,
@@ -238,11 +240,12 @@ impl<'w> CycleStepper<'w> {
         }
 
         // Stage 3 — grid state: full sparse solve at cycle 0, then one
-        // incremental delta per cycle whose effective counts moved.
+        // solve_delta (a tile-basis superposition of the absolute block
+        // loads) per cycle whose effective counts moved.
         let grid = self.workload.campaign().floorplan().grid();
         let node_load = self.workload.node_load_fn();
         if let Some(prior) = self.sol.as_ref() {
-            let mut changed: Vec<(usize, f64)> = Vec::new();
+            let mut changed: Vec<(usize, f64)> = Vec::with_capacity(grid.tiles());
             for t in 0..tiles {
                 if self.eff_counts[t] != self.prev_eff[t] {
                     let l = node_load(self.eff_counts[t]);
@@ -416,8 +419,8 @@ impl<'w> CycleStepper<'w> {
 
     /// Reinstates a [`StepperSnapshot`] taken from an identically
     /// configured run, after which stepping continues bit-identically
-    /// to the uninterrupted run — the delta-solve chain picks up from
-    /// the captured floating-point state, not a fresh solve.
+    /// to the uninterrupted run — the captured rails are reinstated
+    /// as they were, not re-solved.
     ///
     /// # Errors
     ///

@@ -199,6 +199,13 @@ echo "==> bounded-memory gate (streamed 256-site campaign)"
 # binary so the number reflects only this campaign).
 cargo test -q --release -p psnt-workload --test bounded_memory
 
+echo "==> long-run grid accuracy gate (10^5 tile-basis updates)"
+# The per-cycle grid update stays as accurate on a long run as on a
+# short one: 10^5 block-uniform solve_delta steps on the 40x40 chip
+# grid, sampled against fresh solve_sparse solves, stay within 1e-12 V
+# and the last 1,000 steps are no worse than the first 1,000.
+cargo test -q --release -p psnt-pdn --test long_run_accuracy
+
 echo "==> perfbench self-test"
 # The repository benchmark's own checks: all four workloads at both
 # seeds against the fresh-solve reference, plus its traced run.
